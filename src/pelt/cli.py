@@ -1,10 +1,11 @@
 """Command-line entry point: the full pipeline as seeded subcommands.
 
 Every subcommand prints a one-line provenance header (version, seed,
-thread count, fingerprints) and produces byte-identical artifacts for
-identical inputs and seed. Exit codes: 0 success, 1 runtime error,
-2 usage error. A key=value config file can preset any option; explicit
-flags win.
+fingerprints) and produces byte-identical artifacts for identical inputs
+and seed. Exit codes: 0 success, 1 runtime error, 2 usage error. A
+key=value config file can preset any option of its subcommand; explicit
+flags win, and an unknown key or a value of the wrong type is a usage
+error.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from pelt import model as model_mod
 from pelt import probe as probe_mod
 from pelt import table as table_mod
 from pelt.cloze import load_cloze
-from pelt.errors import PeltError
+from pelt.errors import PeltError, UsageError
 from pelt.gradcheck import grad_check
 from pelt.linker import link_document_rows, load_page_graph
 from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch, synthetic_occurrence_set
@@ -47,6 +48,9 @@ class _Options:
     def __init__(self, args):
         self._args = args
         self._file = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(self._file) - set(vars(args)) - {"func", "command", "config"})
+        if unknown:
+            raise UsageError(f"{args.config}: unknown config key {unknown[0]!r}")
 
     def get(self, name, default, cast=str):
         value = getattr(self._args, name, None)
@@ -54,12 +58,18 @@ class _Options:
             return value
         if name in self._file:
             raw = self._file[name]
-            return cast(raw) if cast is not bool else raw.lower() in ("1", "true", "yes")
+            if cast is bool:
+                return raw.lower() in ("1", "true", "yes")
+            try:
+                return cast(raw)
+            except ValueError:
+                raise UsageError(f"config value {name}={raw!r} is not "
+                                 f"a valid {cast.__name__}") from None
         return default
 
 
-def _provenance(seed, threads, **fingerprints):
-    parts = [f"# pelt {pelt.__version__}", f"seed={seed}", f"threads={threads}"]
+def _provenance(seed, **fingerprints):
+    parts = [f"# pelt {pelt.__version__}", f"seed={seed}"]
     for key, value in fingerprints.items():
         parts.append(f"{key}={value}")
     print(" ".join(parts))
@@ -110,7 +120,7 @@ def _cmd_gen_corpus(args):
         zero_train_entities=opts.get("zero_train", 5, int),
         seed=seed,
     )
-    _provenance(seed, 1)
+    _provenance(seed)
     bundle = corpus_mod.generate_corpus(config)
     bundle.save(args.out)
     print(f"entities={len(bundle.catalog)} train={len(bundle.train_lines)} "
@@ -134,7 +144,7 @@ def _cmd_train(args):
         ln_eps=opts.get("ln_eps", 1e-5, float),
         seed=seed,
     )
-    _provenance(seed, 1)
+    _provenance(seed)
     ckpt = model_mod.train_mlm(
         sentences, config,
         steps=opts.get("steps", 3000, int),
@@ -152,7 +162,6 @@ def _cmd_train(args):
 
 def _cmd_build_table(args):
     opts = _Options(args)
-    threads = opts.get("threads", 1, int)
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
     source = opts.get("source", "lookup")
     data = _load_data_dir(args.data, need=("vocab", "catalog", source))
@@ -160,10 +169,9 @@ def _cmd_build_table(args):
     entity_ids = (args.entities.split(",") if args.entities
                   else data["catalog"].ids())
     norm_l = opts.get("l", 7.0, float)
-    _provenance(ckpt.train_seed, threads, ckpt=ckpt_io.fingerprint(ckpt).hex()[:16])
+    _provenance(ckpt.train_seed, ckpt=ckpt_io.fingerprint(ckpt).hex()[:16])
     table, skipped = table_mod.build_table(
-        entity_ids, sentences, ckpt, norm_l,
-        cap=opts.get("cap", 256, int), threads=threads, source_tag=source)
+        entity_ids, sentences, ckpt, norm_l, cap=opts.get("cap", 256, int))
     table_mod.save_table(table, args.out)
     for eid in skipped:
         print(f"skipped {eid}: no occurrences in {source} corpus")
@@ -176,7 +184,7 @@ def _cmd_probe(args):
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
     data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze"))
     table = table_mod.load_table(args.table, ckpt) if args.table else None
-    _provenance(ckpt.train_seed, 1,
+    _provenance(ckpt.train_seed,
                 ckpt=ckpt_io.fingerprint(ckpt).hex()[:16],
                 table=(table.fingerprint.hex()[:16] if table else "none"))
     report = probe_mod.run_probe(data["cloze"], data["vocab"], ckpt, table=table,
@@ -190,27 +198,29 @@ def _cmd_probe(args):
 
 def _parse_l_values(spec):
     values = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            values.extend(float(x) for x in range(int(lo), int(hi) + 1))
-        elif part:
-            values.append(float(part))
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                values.extend(float(x) for x in range(int(lo), int(hi) + 1))
+            elif part:
+                values.append(float(part))
+    except ValueError:
+        raise UsageError(f"bad --l value {spec!r}: expected e.g. 1..10 or 1,3,7") from None
     return values
 
 
 def _cmd_sweep(args):
     opts = _Options(args)
-    threads = opts.get("threads", 1, int)
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
     data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze", "lookup"))
     sentences = corpus_mod.parse_corpus(data["lookup"], data["vocab"])
     l_values = _parse_l_values(opts.get("l", "1..10"))
-    _provenance(ckpt.train_seed, threads, ckpt=ckpt_io.fingerprint(ckpt).hex()[:16])
+    _provenance(ckpt.train_seed, ckpt=ckpt_io.fingerprint(ckpt).hex()[:16])
     result = probe_mod.sweep_norm(
         data["cloze"], data["vocab"], ckpt, sentences, data["catalog"].ids(),
-        l_values, cap=opts.get("cap", 256, int), threads=threads,
+        l_values, cap=opts.get("cap", 256, int),
         restrict=bool(args.restrict), catalog=data["catalog"])
     print(result.render_text())
     _write_tsv(args.tsv, result.render_tsv())
@@ -218,8 +228,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_link(args):
+    _Options(args)  # link reads no option from the file, but still vets its keys
     graph = load_page_graph(args.graph)
-    _provenance(0, 1, graph=os.path.basename(args.graph))
+    _provenance(0, graph=os.path.basename(args.graph))
     rows = []
     for doc in graph.docs:
         rows.extend(link_document_rows(doc, graph))
@@ -235,7 +246,7 @@ def _cmd_gradcheck(args):
     dim = opts.get("dim", 32, int)
     vocab_size = opts.get("vocab", 512, int)
     tol = opts.get("tol", 1e-4, float)
-    _provenance(seed, 1)
+    _provenance(seed)
     ckpt = synthetic_checkpoint(dim=dim, layers=opts.get("layers", 2, int),
                                 heads=opts.get("heads", 4, int),
                                 vocab_size=vocab_size, seed=seed, dtype=np.float64)
@@ -257,7 +268,7 @@ def _cmd_oracle(args):
     dim = opts.get("dim", 32, int)
     vocab_size = opts.get("vocab", 512, int)
     small = opts.get("small_vocab", 2, int)
-    _provenance(seed, 1)
+    _provenance(seed)
     ckpt = synthetic_checkpoint(dim=dim, layers=1, heads=4,
                                 vocab_size=vocab_size, seed=seed, dtype=np.float64)
     occ = synthetic_occurrence_set(vocab_size, occurrences=opts.get("occurrences", 12, int),
@@ -321,7 +332,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--l", type=float, default=None)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--entities", default=None, help="comma-separated entity ids")
     p.add_argument("--source", choices=("lookup", "train"), default=None)
     p.set_defaults(func=_cmd_build_table)
@@ -342,7 +352,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--l", default=None, help="e.g. 1..10 or 1,3,7")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--restrict", action="store_true")
     p.add_argument("--tsv", default=None)
     p.set_defaults(func=_cmd_sweep)
@@ -380,6 +389,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (PeltError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

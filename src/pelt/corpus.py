@@ -186,9 +186,6 @@ class EntityCatalog:
     def ids(self):
         return [e.entity_id for e in self.entries]
 
-    def answer_pool(self, relation):
-        return sorted({e.facts[relation] for e in self.entries if relation in e.facts})
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
             f.write("id\tsurface\tpieces\tfreq\tprobe_relation\tprobe_template\tfacts\n")
@@ -296,7 +293,6 @@ class Occurrence:
 class OccurrenceSet:
     entity_id: str
     items: tuple
-    source_tag: str = ""
 
     @property
     def empty(self):
@@ -306,31 +302,35 @@ class OccurrenceSet:
         return len(self.items)
 
 
-def index_occurrences(entity_id, sentences, cap=256, source_tag=""):
-    """First-encounter, deduplicated, capped masked occurrences of an entity.
+def index_occurrences(entity_ids, sentences, cap=256):
+    """First-encounter, deduplicated, capped masked occurrences per entity.
 
-    Every mention yields its own occurrence with only its own span replaced
-    by a single [MASK]; duplicates (identical masked token sequences) are
-    dropped before the cap applies.
+    One pass over ``sentences`` indexes every requested entity; returns an
+    OccurrenceSet per id, in request order. Every mention yields its own
+    occurrence with only its own span replaced by a single [MASK];
+    duplicates (identical masked token sequences) are dropped before the
+    cap applies, and mentions of an entity that has reached the cap are
+    skipped unexamined.
     """
+    if isinstance(entity_ids, str):
+        raise ContractError("index_occurrences takes a collection of entity ids")
     if cap < 1:
         raise ConfigError(f"occurrence cap must be >= 1, got {cap}")
-    items = []
-    seen = set()
+    items = {eid: [] for eid in entity_ids}
+    seen = {eid: set() for eid in items}
     for s in sentences:
         for m in s.mentions:
-            if m.entity_id != entity_id:
+            found = items.get(m.entity_id)
+            if found is None or len(found) == cap:
                 continue
             masked = s.tokens[:m.start] + (MASK_ID,) + s.tokens[m.end:]
             if masked.count(MASK_ID) != 1:
                 raise ContractError("source sentence already contains a [MASK] token")
-            if masked in seen:
+            if masked in seen[m.entity_id]:
                 continue
-            seen.add(masked)
-            items.append(Occurrence(masked, m.start))
-            if len(items) == cap:
-                return OccurrenceSet(entity_id, tuple(items), source_tag)
-    return OccurrenceSet(entity_id, tuple(items), source_tag)
+            seen[m.entity_id].add(masked)
+            found.append(Occurrence(masked, m.start))
+    return {eid: OccurrenceSet(eid, tuple(found)) for eid, found in items.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ class ConfigError(PeltError):
     """Invalid or inconsistent configuration."""
 
 
+class UsageError(PeltError):
+    """A command-line option or config value is unknown or malformed."""
+
+
 class ContractError(PeltError):
     """A documented precondition was violated by the caller."""
 

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pelt.checkpoint import fingerprint
-from pelt.errors import ConfigError, ContractError, FingerprintError, LengthError
+from pelt.errors import ContractError, LengthError
 from pelt.model import encode, output_repr, rank_tokens
 from pelt.table import verify_table
 from pelt.vocab import LBRACKET_ID, MASK_ID, RBRACKET_ID
@@ -30,7 +29,6 @@ class AugmentedSequence:
 
     slots: list  # int token ids and VectorSlot objects
     provenance: np.ndarray  # original position -> augmented position
-    table_fingerprint: bytes = b""
     insertions: int = 0
 
     def __len__(self):
@@ -65,7 +63,7 @@ def augment(sentence, table, max_len=None):
         raise LengthError(
             f"augmented sequence of {len(slots)} exceeds max length {max_len} "
             f"(sentence: {tokens})")
-    return AugmentedSequence(slots, provenance, table.fingerprint, inserted)
+    return AugmentedSequence(slots, provenance, inserted)
 
 
 def strip(aug):
@@ -87,29 +85,13 @@ def strip(aug):
     return tuple(out)
 
 
-def encode_augmented(aug, ckpt):
-    """Encode an augmented sequence; vector slots pass straight through."""
-    if aug.table_fingerprint and aug.insertions:
-        fp = fingerprint(ckpt)
-        if aug.table_fingerprint != fp:
-            raise FingerprintError(
-                "augmented sequence was built from a different checkpoint's table: "
-                f"table={aug.table_fingerprint.hex()} checkpoint={fp.hex()}")
-    for s in aug.slots:
-        if isinstance(s, VectorSlot) and s.vector.shape != (ckpt.config.dim,):
-            raise ConfigError(
-                f"vector slot for {s.entity_id} has dim {s.vector.shape}, "
-                f"model dim is {ckpt.config.dim}")
-    return encode(ckpt, aug.model_slots())
-
-
 def cloze_predict_infused(sentence, mask_pos, table, ckpt, k, candidates=None):
     """predict_topk over the augmented encoding at the mapped MASK position."""
     if sentence.tokens[mask_pos] != MASK_ID:
         raise ContractError(f"position {mask_pos} does not hold [MASK]")
     verify_table(table, ckpt)
     aug = augment(sentence, table, max_len=ckpt.config.max_len)
-    h = encode_augmented(aug, ckpt)
+    h = encode(ckpt, [aug.model_slots()])[0]
     mapped = int(aug.provenance[mask_pos])
     r = output_repr(ckpt, h, mapped)
     return rank_tokens(ckpt, r, k, candidates)

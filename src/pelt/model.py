@@ -2,9 +2,11 @@
 
 The softmax weights of the MLM head ARE the word embedding matrix: logits
 are computed as r @ E^T and no separate output matrix exists in the
-parameter store. encode() accepts either token indices or direct per-slot
-input vectors, which is what lets constructed entity embeddings ride along
-as pseudo-tokens.
+parameter store. Inference has two operations: encode() runs one padded,
+no-grad pass over a batch of slot sequences, where a slot is a token id or
+a direct input vector (which is what lets constructed entity embeddings
+ride along as pseudo-tokens), and output_repr() applies the MLM head at
+one position.
 """
 
 import time
@@ -129,63 +131,49 @@ def _head(params, cfg, h):
     return layer_norm(f, params["head.ln.g"], params["head.ln.b"], cfg.ln_eps)
 
 
-def _input_matrix(params, cfg, slots, dtype):
-    emb = params["emb.word"].data
-    x = np.empty((len(slots), cfg.dim), dtype=dtype)
-    for i, s in enumerate(slots):
-        if isinstance(s, (int, np.integer)):
-            if not 0 <= s < cfg.vocab_size:
-                raise IndexError(f"token id {s} out of range for vocabulary {cfg.vocab_size}")
-            x[i] = emb[s]
-        else:
-            vec = np.asarray(s)
-            if vec.shape != (cfg.dim,):
-                raise ConfigError(
-                    f"input vector at slot {i} has shape {vec.shape}, model dim is {cfg.dim}")
-            x[i] = vec
-    return x
+def encode(ckpt, seqs):
+    """Contextual representations for a batch of slot sequences.
 
-
-def encode(ckpt, slots):
-    """Contextual representations for token ids and/or direct input vectors.
-
-    Returns an (n, D) array; one row per slot.
+    A slot is a token id or a direct (D,) input vector. Sequences are padded
+    with the [PAD] embedding row and masked by length, so a batch of one has
+    no attention bias. Returns one (n_i, D) array per sequence.
     """
     cfg = ckpt.config
-    if len(slots) > cfg.max_len:
-        raise LengthError(f"sequence of {len(slots)} exceeds max length {cfg.max_len}")
-    if len(slots) == 0:
-        raise ContractError("cannot encode an empty sequence")
-    with no_grad():
-        x = _input_matrix(ckpt.params, cfg, list(slots), ckpt.params["emb.word"].data.dtype)
-        h = _encoder(ckpt.params, cfg, Tensor(x[None, :, :]), None)
-    return h.data[0]
-
-
-def encode_batch(ckpt, token_seqs):
-    """Batched encode over padded token-id sequences; returns per-sequence H."""
-    cfg = ckpt.config
-    if not token_seqs:
+    if not seqs:
         return []
-    lens = [len(t) for t in token_seqs]
+    lens = [len(s) for s in seqs]
     if max(lens) > cfg.max_len:
         raise LengthError(f"sequence of {max(lens)} exceeds max length {cfg.max_len}")
-    dtype = ckpt.params["emb.word"].data.dtype
-    b, n = len(token_seqs), max(lens)
-    tokens = np.full((b, n), PAD_ID, dtype=np.int64)
-    for i, seq in enumerate(token_seqs):
-        tokens[i, :len(seq)] = seq
-    bias = _attention_bias(tokens, dtype)
+    if min(lens) == 0:
+        raise ContractError("cannot encode an empty sequence")
+    emb = ckpt.params["emb.word"].data
+    tokens = np.full((len(seqs), max(lens)), PAD_ID, dtype=np.int64)
+    vectors = []
+    for i, seq in enumerate(seqs):
+        for j, s in enumerate(seq):
+            if isinstance(s, (int, np.integer)):
+                tokens[i, j] = s
+            else:
+                vectors.append((i, j, np.asarray(s)))
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+        raise IndexError(f"token id out of range for vocabulary {cfg.vocab_size}")
+    x = emb[tokens]
+    for i, j, vec in vectors:
+        if vec.shape != (cfg.dim,):
+            raise ConfigError(
+                f"input vector at slot {j} has shape {vec.shape}, model dim is {cfg.dim}")
+        x[i, j] = vec
+    pad = np.arange(tokens.shape[1]) >= np.asarray(lens)[:, None]
     with no_grad():
-        x = gather_rows(ckpt.params["emb.word"], tokens)
-        h = _encoder(ckpt.params, cfg, x, bias)
-    return [h.data[i, :lens[i]] for i in range(b)]
+        h = _encoder(ckpt.params, cfg, Tensor(x), _attention_bias(pad, emb.dtype))
+    return [h.data[i, :n] for i, n in enumerate(lens)]
 
 
-def _attention_bias(tokens, dtype):
-    if not (tokens == PAD_ID).any():
+def _attention_bias(pad, dtype):
+    """Additive key mask for the (B, n) padding mask; None when nothing pads."""
+    if not pad.any():
         return None
-    bias = np.where(tokens == PAD_ID, _NEG_INF, 0.0).astype(dtype)
+    bias = np.where(pad, _NEG_INF, 0.0).astype(dtype)
     return bias[:, None, None, :]
 
 
@@ -196,12 +184,6 @@ def output_repr(ckpt, h, position):
     with no_grad():
         r = _head(ckpt.params, ckpt.config, Tensor(h[position:position + 1]))
     return r.data[0]
-
-
-def output_repr_all(ckpt, h):
-    with no_grad():
-        r = _head(ckpt.params, ckpt.config, Tensor(h))
-    return r.data
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +206,7 @@ def mlm_loss(params, cfg, tokens, targets):
     if sel.size == 0:
         raise ContractError("mlm loss: batch contains no masked position")
     emb = params["emb.word"]
-    bias = _attention_bias(tokens, emb.data.dtype)
+    bias = _attention_bias(tokens == PAD_ID, emb.data.dtype)
     x = gather_rows(emb, tokens)
     h = _encoder(params, cfg, x, bias)
     h_flat = reshape(h, (tokens.shape[0] * tokens.shape[1], cfg.dim))
@@ -338,6 +320,6 @@ def predict_topk(ckpt, tokens, position, k, candidates=None):
         raise IndexError(f"position {position} outside sequence of {len(tokens)}")
     if tokens[position] != MASK_ID:
         raise ContractError(f"position {position} does not hold [MASK]")
-    h = encode(ckpt, tokens)
+    h = encode(ckpt, [tokens])[0]
     r = output_repr(ckpt, h, position)
     return rank_tokens(ckpt, r, k, candidates)

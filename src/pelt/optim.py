@@ -39,10 +39,3 @@ class Adam:
             p.data -= lr * update
         return self.params
 
-
-def adam_step(params, lr, betas=(0.9, 0.999), epsilon=1e-8, state=None):
-    """One-shot functional form; pass the returned optimizer back as ``state``
-    to keep the moment buffers across calls."""
-    opt = state if state is not None else Adam(params, lr, betas, epsilon)
-    opt.step(lr=lr)
-    return params, opt

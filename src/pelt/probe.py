@@ -149,7 +149,7 @@ class SweepResult:
 
 
 def sweep_norm(queries, vocab, ckpt, lookup_sentences, entity_ids, l_values,
-               cap=256, threads=1, restrict=False, catalog=None):
+               cap=256, restrict=False, catalog=None):
     """Probe one table per L; directions are collected once and rescaled.
 
     Ties in mean P@1 break toward the smaller L.
@@ -163,8 +163,7 @@ def sweep_norm(queries, vocab, ckpt, lookup_sentences, entity_ids, l_values,
             continue
         values.append(float(l))
     values.sort()
-    dirset = collect_directions(entity_ids, lookup_sentences, ckpt, cap=cap,
-                                threads=threads, source_tag="lookup")
+    dirset = collect_directions(entity_ids, lookup_sentences, ckpt, cap=cap)
     curve = []
     best_l, best_p = None, -1.0
     for l in values:

@@ -36,4 +36,4 @@ def synthetic_occurrence_set(vocab_size, occurrences=12, length=10, seed=0,
         pos = int(rng.integers(length))
         toks[pos] = MASK_ID
         items.append(Occurrence(tuple(toks), pos))
-    return OccurrenceSet(entity_id, tuple(items), "synthetic")
+    return OccurrenceSet(entity_id, tuple(items))

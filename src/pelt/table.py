@@ -13,7 +13,6 @@ per entry: u32 id length, id bytes, u32 occurrence count, D f32 values.
 
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from pelt.checkpoint import _Reader, fingerprint
 from pelt.corpus import index_occurrences
 from pelt.errors import (ConfigError, ContractError, DegenerateDirectionError,
                          FingerprintError, FormatError, NoOccurrencesError)
-from pelt.model import encode_batch, output_repr_all
+from pelt.model import encode, output_repr
 
 TABLE_MAGIC = b"PELTTBL1"
 TABLE_VERSION = 1
@@ -34,7 +33,6 @@ _COLLECT_BATCH = 32
 class TableEntry:
     vector: np.ndarray  # (D,) float32, norm L
     count: int
-    source_tag: str = ""
 
 
 @dataclass
@@ -77,9 +75,9 @@ def collect_masked_outputs(entity_id, occ_set, ckpt):
     items = occ_set.items
     for lo in range(0, len(items), _COLLECT_BATCH):
         chunk = items[lo:lo + _COLLECT_BATCH]
-        hs = encode_batch(ckpt, [occ.tokens for occ in chunk])
+        hs = encode(ckpt, [occ.tokens for occ in chunk])
         for j, (occ, h) in enumerate(zip(chunk, hs)):
-            out[lo + j] = output_repr_all(ckpt, h[occ.mask_pos:occ.mask_pos + 1])[0]
+            out[lo + j] = output_repr(ckpt, h, occ.mask_pos)
     return out
 
 
@@ -110,34 +108,20 @@ class DirectionSet:
     dim: int
     directions: dict  # entity id -> (unit f64 vector, occurrence count)
     skipped: list  # entity ids with no occurrences
-    source_tag: str = ""
 
 
-def collect_directions(entity_ids, sentences, ckpt, cap=256, threads=1, source_tag=""):
-    ordered = sorted(set(entity_ids))
-
-    def one(eid):
-        occ = index_occurrences(eid, sentences, cap=cap, source_tag=source_tag)
-        if occ.empty:
-            return eid, None, 0
-        r = collect_masked_outputs(eid, occ, ckpt)
-        return eid, sum_direction(r), len(occ)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, ordered))
-    else:
-        results = [one(eid) for eid in ordered]
-
+def collect_directions(entity_ids, sentences, ckpt, cap=256):
+    """Index every entity in one pass, then sum each one's masked outputs."""
+    occ_sets = index_occurrences(sorted(set(entity_ids)), sentences, cap=cap)
     directions = {}
     skipped = []
-    for eid, direction, count in results:
-        if direction is None:
+    for eid, occ in occ_sets.items():
+        if occ.empty:
             skipped.append(eid)
         else:
-            directions[eid] = (direction, count)
-    return DirectionSet(fingerprint(ckpt), ckpt.config.dim, directions,
-                        skipped, source_tag)
+            r = collect_masked_outputs(eid, occ, ckpt)
+            directions[eid] = (sum_direction(r), len(occ))
+    return DirectionSet(fingerprint(ckpt), ckpt.config.dim, directions, skipped)
 
 
 def table_from_directions(dirset, norm_l):
@@ -147,14 +131,13 @@ def table_from_directions(dirset, norm_l):
     for eid in sorted(dirset.directions):
         direction, count = dirset.directions[eid]
         vec = (norm_l * direction).astype(np.float32)
-        entries[eid] = TableEntry(vec, count, dirset.source_tag)
+        entries[eid] = TableEntry(vec, count)
     return EntityEmbeddingTable(dirset.fingerprint, dirset.dim, float(norm_l), entries)
 
 
-def build_table(entity_ids, sentences, ckpt, norm_l, cap=256, threads=1, source_tag=""):
+def build_table(entity_ids, sentences, ckpt, norm_l, cap=256):
     """Index, collect, aggregate; returns (table, skipped entity ids)."""
-    dirset = collect_directions(entity_ids, sentences, ckpt, cap=cap,
-                                threads=threads, source_tag=source_tag)
+    dirset = collect_directions(entity_ids, sentences, ckpt, cap=cap)
     table = table_from_directions(dirset, norm_l)
     if not table.entries:
         warnings.warn("built an empty entity table: no entity had occurrences")

@@ -18,7 +18,8 @@ from pelt.errors import ContractError, ShapeError
 
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 
-# per-thread so parallel inference cannot disable recording for a trainer
+# per-thread so inference on one thread cannot disable recording for a trainer
+# on another
 _state = threading.local()
 
 
@@ -185,10 +186,6 @@ def add(a, b):
         _accum(a, g)
 
     return _result(data, (a,), backward_const)
-
-
-def sub(a, b):
-    return add(a, mul(b, -1.0)) if isinstance(b, Tensor) else add(a, -np.asarray(b))
 
 
 def mul(a, b):

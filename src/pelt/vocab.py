@@ -74,6 +74,3 @@ def tokenize(text, vocab):
                 i += len(match)
     return out
 
-
-def detokenize(ids, vocab):
-    return " ".join(vocab.token(i) for i in ids)

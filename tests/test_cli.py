@@ -148,3 +148,36 @@ class TestUsageAndConfig:
         assert main(["gen-corpus", "--out", b, "--config", str(cfg),
                      "--seed", "22"]) == 0
         assert _files(a) != _files(b)
+
+    def test_bad_config_cast_exits_2(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=abc\n")
+        rc = main(["train", "--data", data, "--out", str(tmp_path / "m.bin"),
+                   "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "steps='abc'" in err
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_bad_l_spec_exits_2(self, pipeline, capsys):
+        _, data, ckpt = pipeline
+        rc = main(["sweep", "--ckpt", ckpt, "--data", data, "--l", "1..x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "1..x" in err
+
+    @pytest.mark.parametrize("command, key", [("train", "step=1"),
+                                              ("build-table", "threads=2")])
+    def test_unknown_config_key_exits_2(self, pipeline, tmp_path, capsys, command, key):
+        _, data, ckpt = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(key + "\n")
+        out = str(tmp_path / "out.bin")
+        argv = {"train": ["train", "--data", data, "--out", out],
+                "build-table": ["build-table", "--ckpt", ckpt, "--data", data,
+                                "--out", out]}[command]
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(key.split("=")[0]) in err
+        assert not os.path.exists(out)

@@ -149,7 +149,7 @@ class TestGeneration:
         sentences = parse_corpus(bundle.lookup_lines, bundle.vocab)
         source = {s.tokens for s in sentences}
         for entity in bundle.catalog:
-            occ = index_occurrences(entity.entity_id, sentences)
+            occ = index_occurrences([entity.entity_id], sentences)[entity.entity_id]
             pieces = tuple(bundle.vocab.id(p) for p in entity.pieces)
             for item in occ.items:
                 restored = (item.tokens[:item.mask_pos] + pieces
@@ -171,7 +171,7 @@ class TestIndexOccurrences:
         entity = bundle.catalog.entries[0]
         s = self._sentence(bundle.vocab,
                            f"[[{entity.entity_id}|{entity.surface}]] likes rice")
-        occ = index_occurrences(entity.entity_id, [s])
+        occ = index_occurrences([entity.entity_id], [s])[entity.entity_id]
         assert len(occ) == 1
         assert occ.items[0].tokens[occ.items[0].mask_pos] == MASK_ID
         assert occ.items[0].mask_pos == 0
@@ -181,7 +181,7 @@ class TestIndexOccurrences:
         entity = bundle.catalog.entries[0]
         s = self._sentence(bundle.vocab,
                            f"[[{entity.entity_id}|{entity.surface}]] likes rice")
-        occ = index_occurrences(entity.entity_id, [s, s, s])
+        occ = index_occurrences([entity.entity_id], [s, s, s])[entity.entity_id]
         assert len(occ) == 1
 
     def test_cap_keeps_first_encounters(self, bundle):
@@ -192,7 +192,7 @@ class TestIndexOccurrences:
                            f"[[{entity.entity_id}|{entity.surface}]] likes {a}")
             for a in answers
         ]
-        occ = index_occurrences(entity.entity_id, sentences, cap=4)
+        occ = index_occurrences([entity.entity_id], sentences, cap=4)[entity.entity_id]
         assert len(occ) == 4
         kept = [o.tokens[-1] for o in occ.items]
         assert kept == [bundle.vocab.id(a) for a in answers[:4]]
@@ -201,13 +201,13 @@ class TestIndexOccurrences:
         entity = bundle.catalog.entries[0]
         m = f"[[{entity.entity_id}|{entity.surface}]]"
         s = self._sentence(bundle.vocab, f"{m} ( {m} ) likes rice")
-        occ = index_occurrences(entity.entity_id, [s])
+        occ = index_occurrences([entity.entity_id], [s])[entity.entity_id]
         assert len(occ) == 2
         for item in occ.items:
             assert item.tokens.count(MASK_ID) == 1
 
     def test_absent_entity_gives_flagged_empty_set(self, bundle):
-        occ = index_occurrences("ent_999", [])
+        occ = index_occurrences(["ent_999"], [])["ent_999"]
         assert occ.empty and len(occ) == 0
 
     def test_300_distinct_capped_at_256(self, bundle):
@@ -219,12 +219,33 @@ class TestIndexOccurrences:
                  for a in fillers for b in fillers for c in answers]
         assert len(lines) >= 300
         sentences = [self._sentence(bundle.vocab, line) for line in lines[:300]]
-        occ = index_occurrences(entity.entity_id, sentences, cap=256)
+        occ = index_occurrences([entity.entity_id], sentences, cap=256)[entity.entity_id]
         assert len(occ) == 256
         first = self._sentence(bundle.vocab, lines[0])
         assert occ.items[0].tokens == first.tokens[:1].__class__(
             (MASK_ID,)) + first.tokens[len(entity.pieces):]
 
+    def test_one_pass_matches_separate_passes(self, bundle):
+        a, b = bundle.catalog.entries[0], bundle.catalog.entries[1]
+        ma, mb = (f"[[{e.entity_id}|{e.surface}]]" for e in (a, b))
+        lines = [f"{ma} likes rice", f"{mb} likes rice", f"{ma} and {mb} like figs",
+                 f"{ma} likes rice", f"{mb} likes mango", f"{ma} likes honey",
+                 f"{mb} likes bread", f"{ma} likes pasta"]
+        sentences = [self._sentence(bundle.vocab, line) for line in lines]
+        both = index_occurrences([a.entity_id, b.entity_id], sentences, cap=3)
+        assert list(both) == [a.entity_id, b.entity_id]
+        for eid in (a.entity_id, b.entity_id):
+            alone = index_occurrences([eid], sentences, cap=3)[eid]
+            assert both[eid] == alone
+            assert len(alone) == 3
+        # a's duplicate "likes rice" line is dropped before its cap applies
+        assert [o.tokens[-1] for o in both[a.entity_id].items] == [
+            bundle.vocab.id(w) for w in ("rice", "figs", "honey")]
+
+    def test_single_id_string_rejected(self, bundle):
+        with pytest.raises(ContractError):
+            index_occurrences("ent_000", [])
+
     def test_cap_below_one_rejected(self, bundle):
         with pytest.raises(ConfigError):
-            index_occurrences("x", [], cap=0)
+            index_occurrences(["x"], [], cap=0)

@@ -1,4 +1,4 @@
-"""Augmentation, augmented encoding, and infused prediction."""
+"""Augmentation, encoding of augmented slots, and infused prediction."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +8,7 @@ from pelt.corpus import (CorpusConfig, Mention, Sentence, generate_corpus,
                          parse_corpus, parse_marked_line)
 from pelt.errors import ConfigError, ContractError, FingerprintError, LengthError
 from pelt.infuse import (AugmentedSequence, VectorSlot, augment,
-                         cloze_predict_infused, encode_augmented, strip)
+                         cloze_predict_infused, strip)
 from pelt.model import encode, predict_topk
 from pelt.synth import synthetic_checkpoint
 from pelt.table import build_table, empty_table
@@ -94,6 +94,8 @@ class TestAugment:
 
 
 class TestEncodeAugmented:
+    """Augmented sequences go through model.encode with vector slots."""
+
     def test_vector_equal_to_embedding_row_matches_plain_encoding(self, world):
         bundle, ckpt, table = world
         emb = ckpt.params["emb.word"].data
@@ -101,8 +103,8 @@ class TestEncodeAugmented:
         aug = AugmentedSequence(
             [tokens[0], tokens[1], VectorSlot("x", emb[tokens[2]].copy()), tokens[3]],
             np.arange(4))
-        h_aug = encode_augmented(aug, ckpt)
-        h_plain = encode(ckpt, tokens)
+        h_aug = encode(ckpt, [aug.model_slots()])[0]
+        h_plain = encode(ckpt, [tokens])[0]
         npt.assert_array_equal(h_aug, h_plain)
 
     def test_scale_invariance_at_zero_position_row(self, world):
@@ -121,7 +123,7 @@ class TestEncodeAugmented:
         outs = []
         for c in (0.1, 1.0, 7.0, 10.0):
             aug = AugmentedSequence([5, VectorSlot("x", c * vec), 6], np.arange(3))
-            outs.append(encode_augmented(aug, ckpt)[1])
+            outs.append(encode(ckpt, [aug.model_slots()])[0][1])
         for other in outs[1:]:
             npt.assert_allclose(other, outs[0], atol=1e-9)
 
@@ -132,7 +134,7 @@ class TestEncodeAugmented:
                                     seed=3, dtype=np.float64)
         vec = np.random.default_rng(4).normal(size=16)
         aug = AugmentedSequence([5, VectorSlot("x", vec), 6], np.arange(3))
-        h = encode_augmented(aug, ckpt)
+        h = encode(ckpt, [aug.model_slots()])[0]
         x = vec + ckpt.params["emb.pos"].data[1]
         mu, var = x.mean(), ((x - x.mean()) ** 2).mean()
         ref = (x - mu) / np.sqrt(var + ckpt.config.ln_eps)
@@ -143,17 +145,7 @@ class TestEncodeAugmented:
         bundle, ckpt, table = world
         aug = AugmentedSequence([5, VectorSlot("x", np.zeros(7)), 6], np.arange(3))
         with pytest.raises(ConfigError):
-            encode_augmented(aug, ckpt)
-
-    def test_foreign_fingerprint_rejected(self, world):
-        bundle, ckpt, table = world
-        entity = bundle.catalog.entries[0]
-        aug = augment(_query_sentence(bundle, entity), table)
-        other = synthetic_checkpoint(dim=16, layers=1, heads=2,
-                                     vocab_size=len(bundle.vocab), max_len=40,
-                                     seed=77, dtype=np.float32)
-        with pytest.raises(FingerprintError):
-            encode_augmented(aug, other)
+            encode(ckpt, [aug.model_slots()])
 
 
 class TestClozePredictInfused:
@@ -175,6 +167,16 @@ class TestClozePredictInfused:
         a = cloze_predict_infused(s, pos, table, ckpt, 3)
         b = cloze_predict_infused(s, pos, table, ckpt, 3)
         assert a == b
+
+    def test_foreign_fingerprint_rejected(self, world):
+        bundle, ckpt, table = world
+        entity = bundle.catalog.entries[0]
+        s = _query_sentence(bundle, entity)
+        other = synthetic_checkpoint(dim=16, layers=1, heads=2,
+                                     vocab_size=len(bundle.vocab), max_len=40,
+                                     seed=77, dtype=np.float32)
+        with pytest.raises(FingerprintError):
+            cloze_predict_infused(s, s.tokens.index(MASK_ID), table, other, 3)
 
     def test_mask_required(self, world):
         bundle, ckpt, table = world

@@ -10,7 +10,7 @@ from pelt.checkpoint import (deserialize_checkpoint, fingerprint,
 from pelt.corpus import CorpusConfig, generate_corpus, parse_corpus
 from pelt.errors import (ConfigError, ContractError, CorruptionError,
                          FormatError, LengthError)
-from pelt.model import (Checkpoint, ModelConfig, encode, encode_batch,
+from pelt.model import (Checkpoint, ModelConfig, encode,
                         init_params, mlm_loss, new_checkpoint, output_repr,
                         predict_topk, train_mlm)
 from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch
@@ -50,13 +50,13 @@ class TestEncode:
         tokens = [7, 12, 9, 30]
         emb = tiny.params["emb.word"].data
         vectors = [emb[t] for t in tokens]
-        npt.assert_array_equal(encode(tiny, tokens), encode(tiny, vectors))
+        npt.assert_array_equal(encode(tiny, [tokens])[0], encode(tiny, [vectors])[0])
 
     def test_zero_layer_encoder_is_embedding_layernorm(self):
         ckpt = synthetic_checkpoint(dim=8, layers=0, heads=2, vocab_size=20,
                                     max_len=8, seed=1, dtype=np.float64)
         tokens = [5, 6, 7]
-        h = encode(ckpt, tokens)
+        h = encode(ckpt, [tokens])[0]
         emb = ckpt.params["emb.word"].data
         pos = ckpt.params["emb.pos"].data
         x = emb[tokens] + pos[:3]
@@ -67,22 +67,33 @@ class TestEncode:
         npt.assert_allclose(h, ref, atol=1e-12)
 
     def test_position_table_is_active(self, tiny):
-        a = encode(tiny, [7, 9])
-        b = encode(tiny, [9, 7])
+        a = encode(tiny, [[7, 9]])[0]
+        b = encode(tiny, [[9, 7]])[0]
         assert np.abs(a - b[::-1]).max() > 1e-6
 
     def test_overlong_sequence_rejected(self, tiny):
         with pytest.raises(LengthError):
-            encode(tiny, [5] * (tiny.config.max_len + 1))
+            encode(tiny, [[5] * (tiny.config.max_len + 1)])
 
     def test_bad_vector_dim_rejected(self, tiny):
         with pytest.raises(ConfigError):
-            encode(tiny, [5, np.zeros(tiny.config.dim + 1)])
+            encode(tiny, [[5, np.zeros(tiny.config.dim + 1)]])
 
-    def test_batched_encode_matches_unbatched_for_single(self, tiny):
-        tokens = [5, 6, 7, 8]
-        npt.assert_array_equal(encode_batch(tiny, [tokens])[0],
-                               encode(tiny, tokens))
+    def test_padded_batch_matches_batch_of_one(self, tiny):
+        # a token sequence and a vector-slot sequence of different lengths:
+        # padding and the length mask must not leak into either row
+        vec = np.random.default_rng(6).normal(size=tiny.config.dim).astype(np.float32)
+        tokens = [5, 6, 7, 8, 9, 10]
+        slots = [11, vec, 12]
+        batch = encode(tiny, [tokens, slots])
+        assert [h.shape for h in batch] == [(6, tiny.config.dim), (3, tiny.config.dim)]
+        npt.assert_allclose(batch[0], encode(tiny, [tokens])[0], atol=1e-6)
+        npt.assert_allclose(batch[1], encode(tiny, [slots])[0], atol=1e-6)
+
+    def test_empty_batch_and_empty_sequence(self, tiny):
+        assert encode(tiny, []) == []
+        with pytest.raises(ContractError):
+            encode(tiny, [[5], []])
 
 
 class TestOutputRepr:
@@ -93,12 +104,12 @@ class TestOutputRepr:
         ckpt.params["head.b"].data[:] = 0.0
         cfg = ckpt.config
         object.__setattr__(cfg, "ln_eps", 0.0)
-        h = encode(ckpt, [5, 6])
+        h = encode(ckpt, [[5, 6]])[0]
         r = output_repr(ckpt, h, 0)
         assert abs(np.linalg.norm(r) - np.sqrt(16)) < 1e-9
 
     def test_identical_inputs_identical_outputs(self, tiny):
-        h = encode(tiny, [5, 6, 7])
+        h = encode(tiny, [[5, 6, 7]])[0]
         stacked = np.vstack([h[1], h[1]])
         a = output_repr(tiny, stacked, 0)
         b = output_repr(tiny, stacked, 1)
@@ -106,13 +117,13 @@ class TestOutputRepr:
 
     def test_differs_across_positions(self, trained_bits):
         _, sentences, ckpt = trained_bits
-        h = encode(ckpt, sentences[0].tokens)
+        h = encode(ckpt, [sentences[0].tokens])[0]
         r0 = output_repr(ckpt, h, 0)
         r1 = output_repr(ckpt, h, len(sentences[0].tokens) - 1)
         assert np.abs(r0 - r1).max() > 1e-6
 
     def test_position_bounds(self, tiny):
-        h = encode(tiny, [5, 6])
+        h = encode(tiny, [[5, 6]])[0]
         with pytest.raises(IndexError):
             output_repr(tiny, h, 2)
 
@@ -146,12 +157,12 @@ class TestMlmLoss:
                                     max_len=8, seed=4, dtype=np.float64)
         token = 17
         other = [5, MASK_ID, 9]  # unrelated masked input, token 17 absent
-        h0 = encode(ckpt, [token])
-        r = output_repr(ckpt, encode(ckpt, other), 1)
+        h0 = encode(ckpt, [[token]])[0]
+        r = output_repr(ckpt, encode(ckpt, [other])[0], 1)
         logit0 = ckpt.params["emb.word"].data[token] @ r
         ckpt.params["emb.word"].data[token, 3] += 0.5
-        h1 = encode(ckpt, [token])
-        r1 = output_repr(ckpt, encode(ckpt, other), 1)
+        h1 = encode(ckpt, [[token]])[0]
+        r1 = output_repr(ckpt, encode(ckpt, [other])[0], 1)
         logit1 = ckpt.params["emb.word"].data[token] @ r1
         assert np.abs(h1 - h0).max() > 1e-9  # input side moved
         assert abs(logit1 - logit0) > 1e-9  # output side moved

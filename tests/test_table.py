@@ -74,37 +74,25 @@ class TestCollect:
     def test_single_occurrence_composes_encode_and_head(self, setup):
         bundle, ckpt, lookup = setup
         eid = bundle.catalog.entries[0].entity_id
-        occ = index_occurrences(eid, lookup, cap=1)
+        occ = index_occurrences([eid], lookup, cap=1)[eid]
         out = collect_masked_outputs(eid, occ, ckpt)
         from pelt.model import encode, output_repr
-        h = encode(ckpt, occ.items[0].tokens)
+        h = encode(ckpt, [occ.items[0].tokens])[0]
         expected = output_repr(ckpt, h, occ.items[0].mask_pos)
         npt.assert_array_equal(out[0], expected)
 
     def test_order_matches_occurrence_set(self, setup):
         bundle, ckpt, lookup = setup
         eid = bundle.catalog.entries[1].entity_id
-        occ = index_occurrences(eid, lookup)
+        occ = index_occurrences([eid], lookup)[eid]
         out = collect_masked_outputs(eid, occ, ckpt)
         assert out.shape == (len(occ), ckpt.config.dim)
 
     def test_empty_set_raises_with_entity_id(self, setup):
         bundle, ckpt, _ = setup
-        occ = index_occurrences("ent_404", [])
+        occ = index_occurrences(["ent_404"], [])["ent_404"]
         with pytest.raises(NoOccurrencesError, match="ent_404"):
             collect_masked_outputs("ent_404", occ, ckpt)
-
-    def test_parallel_and_serial_collection_identical(self, setup):
-        bundle, ckpt, lookup = setup
-        ids = bundle.catalog.ids()
-        serial = collect_directions(ids, lookup, ckpt, threads=1)
-        parallel = collect_directions(ids, lookup, ckpt, threads=4)
-        assert serial.skipped == parallel.skipped
-        assert set(serial.directions) == set(parallel.directions)
-        for eid, (vec, count) in serial.directions.items():
-            pvec, pcount = parallel.directions[eid]
-            npt.assert_array_equal(vec, pvec)
-            assert count == pcount
 
 
 class TestBuildTable:
@@ -186,7 +174,7 @@ class TestOracle:
         ckpt = synthetic_checkpoint(dim=16, layers=0, heads=2, vocab_size=16,
                                     seed=7, dtype=np.float64)
         occ = synthetic_occurrence_set(16, occurrences=1, seed=7)
-        empty = type(occ)(occ.entity_id, (), occ.source_tag)
+        empty = type(occ)(occ.entity_id, ())
         with pytest.raises(NoOccurrencesError):
             gradient_direction_oracle("e", empty, ckpt)
 
