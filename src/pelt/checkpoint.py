@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from pelt.errors import ConfigError, CorruptionError, FormatError
+from pelt.errors import CorruptionError, FormatError
 from pelt.model import Checkpoint, ModelConfig
 from pelt.tensor import ParamStore
 
@@ -105,10 +105,3 @@ def load_checkpoint(path):
 def fingerprint(ckpt):
     """32-byte digest of the canonical serialized form."""
     return hashlib.sha256(serialize_checkpoint(ckpt)).digest()
-
-
-def check_dim(ckpt, expected_dim):
-    """Reject a checkpoint whose hidden size differs from the caller's."""
-    if ckpt.config.dim != expected_dim:
-        raise ConfigError(
-            f"checkpoint has D={ckpt.config.dim}, caller expects D={expected_dim}")

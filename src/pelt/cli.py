@@ -2,10 +2,16 @@
 
 Every subcommand prints a one-line provenance header (version, seed,
 fingerprints) and produces byte-identical artifacts for identical inputs
-and seed. Exit codes: 0 success, 1 runtime error, 2 usage error. A
-key=value config file can preset any option of its subcommand; explicit
-flags win, and an unknown key or a value of the wrong type is a usage
-error.
+and seed. Exit codes: 0 success, 1 runtime error, 2 usage error.
+
+Each option is declared once, in ``build_parser``, with its type, default
+and choices; flag names must be written in full. ``--config FILE`` presets
+any option of its subcommand from ``key=value`` lines (``-`` or ``_`` in
+keys; ``true`` or ``false`` for a switch such as ``restrict``). The lines
+are parsed as ``--key=value`` flags placed before the command line, so
+explicit flags win and a file value meets the same checks as its flag. A
+line that is not key=value, an unknown key or a bad value in the file is a
+usage error.
 """
 
 import argparse
@@ -21,9 +27,11 @@ from pelt import model as model_mod
 from pelt import probe as probe_mod
 from pelt import table as table_mod
 from pelt.cloze import load_cloze
+from pelt.corpus import CorpusConfig
 from pelt.errors import PeltError, UsageError
 from pelt.gradcheck import grad_check
 from pelt.linker import link_document_rows, load_page_graph
+from pelt.model import ModelConfig
 from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch, synthetic_occurrence_set
 from pelt.vocab import Vocabulary
 
@@ -36,36 +44,10 @@ def _read_config_file(path):
             if not line:
                 continue
             if "=" not in line:
-                raise PeltError(f"{path}: config lines must be key=value, got {line!r}")
+                raise UsageError(f"{path}: config lines must be key=value, got {line!r}")
             key, value = line.split("=", 1)
             values[key.strip().replace("-", "_")] = value.strip()
     return values
-
-
-class _Options:
-    """Resolved option values: explicit flag > config file > default."""
-
-    def __init__(self, args):
-        self._args = args
-        self._file = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(self._file) - set(vars(args)) - {"func", "command", "config"})
-        if unknown:
-            raise UsageError(f"{args.config}: unknown config key {unknown[0]!r}")
-
-    def get(self, name, default, cast=str):
-        value = getattr(self._args, name, None)
-        if value is not None:
-            return value
-        if name in self._file:
-            raw = self._file[name]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
-            try:
-                return cast(raw)
-            except ValueError:
-                raise UsageError(f"config value {name}={raw!r} is not "
-                                 f"a valid {cast.__name__}") from None
-        return default
 
 
 def _provenance(seed, **fingerprints):
@@ -110,17 +92,15 @@ def _load_data_dir(data_dir, need=("vocab",)):
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_corpus(args):
-    opts = _Options(args)
-    seed = opts.get("seed", 42, int)
-    config = corpus_mod.CorpusConfig(
-        n_entities=opts.get("entities", 50, int),
-        zipf_exponent=opts.get("zipf", 1.0, float),
-        entity_slot_budget=opts.get("budget", 1800, int),
-        lookup_per_entity=opts.get("lookup_per_entity", 24, int),
-        zero_train_entities=opts.get("zero_train", 5, int),
-        seed=seed,
+    config = CorpusConfig(
+        n_entities=args.entities,
+        zipf_exponent=args.zipf,
+        entity_slot_budget=args.budget,
+        lookup_per_entity=args.lookup_per_entity,
+        zero_train_entities=args.zero_train,
+        seed=args.seed,
     )
-    _provenance(seed)
+    _provenance(args.seed)
     bundle = corpus_mod.generate_corpus(config)
     bundle.save(args.out)
     print(f"entities={len(bundle.catalog)} train={len(bundle.train_lines)} "
@@ -130,29 +110,27 @@ def _cmd_gen_corpus(args):
 
 
 def _cmd_train(args):
-    opts = _Options(args)
-    seed = opts.get("seed", 0, int)
     data = _load_data_dir(args.data, need=("vocab", "train"))
     sentences = corpus_mod.parse_corpus(data["train"], data["vocab"])
-    config = model_mod.ModelConfig(
-        dim=opts.get("dim", 64, int),
-        layers=opts.get("layers", 2, int),
-        heads=opts.get("heads", 4, int),
-        ffn_mult=opts.get("ffn_mult", 4, int),
-        max_len=opts.get("maxlen", 64, int),
+    config = ModelConfig(
+        dim=args.dim,
+        layers=args.layers,
+        heads=args.heads,
+        ffn_mult=args.ffn_mult,
+        max_len=args.maxlen,
         vocab_size=len(data["vocab"]),
-        ln_eps=opts.get("ln_eps", 1e-5, float),
-        seed=seed,
+        ln_eps=args.ln_eps,
+        seed=args.seed,
     )
-    _provenance(seed)
+    _provenance(args.seed)
     ckpt = model_mod.train_mlm(
         sentences, config,
-        steps=opts.get("steps", 3000, int),
-        lr=opts.get("lr", 3e-3, float),
-        mask_rate=opts.get("mask_rate", 0.15, float),
-        seed=seed,
-        batch_size=opts.get("batch", 32, int),
-        log_every=opts.get("log_every", 200, int),
+        steps=args.steps,
+        lr=args.lr,
+        mask_rate=args.mask_rate,
+        seed=args.seed,
+        batch_size=args.batch,
+        log_every=args.log_every,
     )
     ckpt_io.save_checkpoint(ckpt, args.out)
     print(f"final_loss={ckpt.final_loss:.4f} "
@@ -161,26 +139,21 @@ def _cmd_train(args):
 
 
 def _cmd_build_table(args):
-    opts = _Options(args)
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
-    source = opts.get("source", "lookup")
-    data = _load_data_dir(args.data, need=("vocab", "catalog", source))
-    sentences = corpus_mod.parse_corpus(data[source], data["vocab"])
+    data = _load_data_dir(args.data, need=("vocab", "catalog", args.source))
+    sentences = corpus_mod.parse_corpus(data[args.source], data["vocab"])
     entity_ids = (args.entities.split(",") if args.entities
                   else data["catalog"].ids())
-    norm_l = opts.get("l", 7.0, float)
     _provenance(ckpt.train_seed, ckpt=ckpt_io.fingerprint(ckpt).hex()[:16])
-    table, skipped = table_mod.build_table(
-        entity_ids, sentences, ckpt, norm_l, cap=opts.get("cap", 256, int))
+    table, skipped = table_mod.build_table(entity_ids, sentences, ckpt, args.l, cap=args.cap)
     table_mod.save_table(table, args.out)
     for eid in skipped:
-        print(f"skipped {eid}: no occurrences in {source} corpus")
-    print(f"stored={len(table)} skipped={len(skipped)} L={norm_l:g} out={args.out}")
+        print(f"skipped {eid}: no occurrences in {args.source} corpus")
+    print(f"stored={len(table)} skipped={len(skipped)} L={args.l:g} out={args.out}")
     return 0
 
 
 def _cmd_probe(args):
-    opts = _Options(args)
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
     data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze"))
     table = table_mod.load_table(args.table, ckpt) if args.table else None
@@ -188,7 +161,7 @@ def _cmd_probe(args):
                 ckpt=ckpt_io.fingerprint(ckpt).hex()[:16],
                 table=(table.fingerprint.hex()[:16] if table else "none"))
     report = probe_mod.run_probe(data["cloze"], data["vocab"], ckpt, table=table,
-                                 restrict=bool(args.restrict), catalog=data["catalog"])
+                                 restrict=args.restrict, catalog=data["catalog"])
     print(report.render_text())
     _write_tsv(args.tsv, report.render_tsv())
     if args.strict and report.rejected:
@@ -206,29 +179,28 @@ def _parse_l_values(spec):
                 values.extend(float(x) for x in range(int(lo), int(hi) + 1))
             elif part:
                 values.append(float(part))
+        if not values:
+            raise ValueError(spec)
     except ValueError:
         raise UsageError(f"bad --l value {spec!r}: expected e.g. 1..10 or 1,3,7") from None
     return values
 
 
 def _cmd_sweep(args):
-    opts = _Options(args)
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
     data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze", "lookup"))
     sentences = corpus_mod.parse_corpus(data["lookup"], data["vocab"])
-    l_values = _parse_l_values(opts.get("l", "1..10"))
+    l_values = _parse_l_values(args.l)
     _provenance(ckpt.train_seed, ckpt=ckpt_io.fingerprint(ckpt).hex()[:16])
     result = probe_mod.sweep_norm(
         data["cloze"], data["vocab"], ckpt, sentences, data["catalog"].ids(),
-        l_values, cap=opts.get("cap", 256, int),
-        restrict=bool(args.restrict), catalog=data["catalog"])
+        l_values, cap=args.cap, restrict=args.restrict, catalog=data["catalog"])
     print(result.render_text())
     _write_tsv(args.tsv, result.render_tsv())
     return 0
 
 
 def _cmd_link(args):
-    _Options(args)  # link reads no option from the file, but still vets its keys
     graph = load_page_graph(args.graph)
     _provenance(0, graph=os.path.basename(args.graph))
     rows = []
@@ -241,43 +213,29 @@ def _cmd_link(args):
 
 
 def _cmd_gradcheck(args):
-    opts = _Options(args)
-    seed = opts.get("seed", 0, int)
-    dim = opts.get("dim", 32, int)
-    vocab_size = opts.get("vocab", 512, int)
-    tol = opts.get("tol", 1e-4, float)
-    _provenance(seed)
-    ckpt = synthetic_checkpoint(dim=dim, layers=opts.get("layers", 2, int),
-                                heads=opts.get("heads", 4, int),
-                                vocab_size=vocab_size, seed=seed, dtype=np.float64)
-    tokens, targets = synthetic_mlm_batch(vocab_size, seed=seed)
+    _provenance(args.seed)
+    ckpt = synthetic_checkpoint(dim=args.dim, layers=args.layers, heads=args.heads,
+                                vocab_size=args.vocab, seed=args.seed, dtype=np.float64)
+    tokens, targets = synthetic_mlm_batch(args.vocab, seed=args.seed)
     err = grad_check(
         lambda: model_mod.mlm_loss(ckpt.params, ckpt.config, tokens, targets),
-        ckpt.params,
-        h=opts.get("h", 1e-5, float),
-        samples=opts.get("samples", 200, int),
-        seed=seed)
-    ok = err < tol
-    print(f"max_rel_error={err:.3e} tolerance={tol:g} {'PASS' if ok else 'FAIL'}")
+        ckpt.params, h=args.h, samples=args.samples, seed=args.seed)
+    ok = err < args.tol
+    print(f"max_rel_error={err:.3e} tolerance={args.tol:g} {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def _cmd_oracle(args):
-    opts = _Options(args)
-    seed = opts.get("seed", 0, int)
-    dim = opts.get("dim", 32, int)
-    vocab_size = opts.get("vocab", 512, int)
-    small = opts.get("small_vocab", 2, int)
+    seed = args.seed
     _provenance(seed)
-    ckpt = synthetic_checkpoint(dim=dim, layers=1, heads=4,
-                                vocab_size=vocab_size, seed=seed, dtype=np.float64)
-    occ = synthetic_occurrence_set(vocab_size, occurrences=opts.get("occurrences", 12, int),
-                                   seed=seed)
+    ckpt = synthetic_checkpoint(dim=args.dim, layers=1, heads=4,
+                                vocab_size=args.vocab, seed=seed, dtype=np.float64)
+    occ = synthetic_occurrence_set(args.vocab, occurrences=args.occurrences, seed=seed)
     report = table_mod.gradient_direction_oracle("synthetic", occ, ckpt, seed=seed)
     rng = np.random.default_rng(seed + 1)
     tiny = table_mod.gradient_direction_oracle(
-        "synthetic", occ, ckpt, partition_rows=rng.normal(0.0, 0.5, (small, dim)),
-        seed=seed)
+        "synthetic", occ, ckpt,
+        partition_rows=rng.normal(0.0, 0.5, (args.small_vocab, args.dim)), seed=seed)
     print(f"surrogate_max_deviation={report.surrogate_max_deviation:.3e}")
     print(f"full_step_cosine |V|={report.partition_size}: {report.full_step_cosine:.6f}")
     print(f"full_step_cosine |V|={tiny.partition_size}: {tiny.full_step_cosine:.6f}")
@@ -288,106 +246,130 @@ def _cmd_oracle(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--config", default=None, help="key=value option file")
-
-
 def build_parser():
+    """The ``pelt`` parser and a dict of its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="pelt",
                                      description="pluggable entity lookup table pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-corpus", help="generate the synthetic fact corpus")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--entities", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--zipf", type=float, default=None)
-    p.add_argument("--lookup-per-entity", dest="lookup_per_entity", type=int, default=None)
-    p.add_argument("--zero-train", dest="zero_train", type=int, default=None)
-    p.set_defaults(func=_cmd_gen_corpus)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--config", default=None, help="key=value option file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="train the masked language model")
-    _add_common(p)
+    p = command("gen-corpus", _cmd_gen_corpus, "generate the synthetic fact corpus")
+    p.add_argument("--seed", type=int, default=CorpusConfig.seed)
+    p.add_argument("--out", required=True)
+    p.add_argument("--entities", type=int, default=CorpusConfig.n_entities)
+    p.add_argument("--budget", type=int, default=CorpusConfig.entity_slot_budget)
+    p.add_argument("--zipf", type=float, default=CorpusConfig.zipf_exponent)
+    p.add_argument("--lookup-per-entity", type=int, default=CorpusConfig.lookup_per_entity)
+    p.add_argument("--zero-train", type=int, default=CorpusConfig.zero_train_entities)
+
+    p = command("train", _cmd_train, "train the masked language model")
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--ffn-mult", dest="ffn_mult", type=int, default=None)
-    p.add_argument("--maxlen", type=int, default=None)
-    p.add_argument("--ln-eps", dest="ln_eps", type=float, default=None)
-    p.add_argument("--mask-rate", dest="mask_rate", type=float, default=None)
-    p.add_argument("--log-every", dest="log_every", type=int, default=None)
-    p.set_defaults(func=_cmd_train)
+    p.add_argument("--steps", type=int, default=3000)
+    p.add_argument("--lr", type=float, default=3e-3)
+    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--dim", type=int, default=ModelConfig.dim)
+    p.add_argument("--layers", type=int, default=ModelConfig.layers)
+    p.add_argument("--heads", type=int, default=ModelConfig.heads)
+    p.add_argument("--ffn-mult", type=int, default=ModelConfig.ffn_mult)
+    p.add_argument("--maxlen", type=int, default=ModelConfig.max_len)
+    p.add_argument("--ln-eps", type=float, default=ModelConfig.ln_eps)
+    p.add_argument("--mask-rate", type=float, default=0.15)
+    p.add_argument("--log-every", type=int, default=200)
 
-    p = sub.add_parser("build-table", help="build the entity lookup table")
-    _add_common(p)
+    p = command("build-table", _cmd_build_table, "build the entity lookup table")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--l", type=float, default=7.0)
+    p.add_argument("--cap", type=int, default=256)
     p.add_argument("--entities", default=None, help="comma-separated entity ids")
-    p.add_argument("--source", choices=("lookup", "train"), default=None)
-    p.set_defaults(func=_cmd_build_table)
+    p.add_argument("--source", choices=("lookup", "train"), default="lookup")
 
-    p = sub.add_parser("probe", help="run the cloze knowledge probe")
-    _add_common(p)
+    p = command("probe", _cmd_probe, "run the cloze knowledge probe")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--table", default=None)
     p.add_argument("--restrict", action="store_true")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--tsv", default=None)
-    p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("sweep", help="sweep the embedding norm L")
-    _add_common(p)
+    p = command("sweep", _cmd_sweep, "sweep the embedding norm L")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--l", default=None, help="e.g. 1..10 or 1,3,7")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--l", default="1..10", help="e.g. 1..10 or 1,3,7")
+    p.add_argument("--cap", type=int, default=256)
     p.add_argument("--restrict", action="store_true")
     p.add_argument("--tsv", default=None)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("link", help="link candidate names over a page graph")
-    _add_common(p)
+    p = command("link", _cmd_link, "link candidate names over a page graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--tsv", default=None)
-    p.set_defaults(func=_cmd_link)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the MLM loss")
-    _add_common(p)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--vocab", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=_cmd_gradcheck)
+    p = command("gradcheck", _cmd_gradcheck, "finite-difference check of the MLM loss")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--heads", type=int, default=4)
+    p.add_argument("--vocab", type=int, default=512)
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--h", type=float, default=1e-5)
+    p.add_argument("--tol", type=float, default=1e-4)
 
-    p = sub.add_parser("oracle", help="loss-decomposition direction checks")
-    _add_common(p)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--vocab", type=int, default=None)
-    p.add_argument("--small-vocab", dest="small_vocab", type=int, default=None)
-    p.add_argument("--occurrences", type=int, default=None)
-    p.set_defaults(func=_cmd_oracle)
+    p = command("oracle", _cmd_oracle, "loss-decomposition direction checks")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--vocab", type=int, default=512)
+    p.add_argument("--small-vocab", type=int, default=2)
+    p.add_argument("--occurrences", type=int, default=12)
 
-    return parser
+    return parser, sub.choices
+
+
+def _apply_config(command, args, argv):
+    """Parse argv again with the --config file's lines in front as --key=value flags."""
+    values = _read_config_file(args.config)
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
+    flags = []
+    for key, raw in values.items():
+        if key not in options:
+            raise UsageError(f"{args.config}: unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(options[key], bool):
+            flags.append(f"{flag}={raw}")
+        elif raw.lower() == "true":  # a store-true switch
+            flags.append(flag)
+        elif raw.lower() != "false":
+            raise UsageError(f"{args.config}: bad config value {key}={raw!r} "
+                             f"(expected true or false)")
+    command.exit_on_error = False  # a bad file value raises ArgumentError instead
+    try:
+        return command.parse_args(flags + argv[argv.index(args.command) + 1:],
+                                  argparse.Namespace(command=args.command))
+    except argparse.ArgumentError as err:
+        key = err.argument_name.lstrip("-").replace("-", "_")
+        raise UsageError(f"{args.config}: bad config value {key}={values[key]!r} "
+                         f"({err.message})") from None
+
+
+def parse_args(argv):
+    """The namespace of a ``pelt`` command line, its --config file applied."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = _apply_config(commands[args.command], args, argv)
+    return args
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

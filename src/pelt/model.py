@@ -88,10 +88,6 @@ def init_params(config, dtype=np.float32):
     return p
 
 
-def new_checkpoint(config, dtype=np.float32):
-    return Checkpoint(config, init_params(config, dtype))
-
-
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------

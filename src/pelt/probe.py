@@ -20,7 +20,7 @@ class ProbeReport:
     per_relation: dict  # relation -> (correct, total)
     per_bucket: dict  # bucket label -> (correct, total)
     rejected: list  # (subject, reason) pairs dropped before evaluation
-    outcomes: dict = field(default_factory=dict)  # subject -> 0/1
+    outcomes: list = field(default_factory=list)  # (subject, 0/1) per query, cloze order
 
     @property
     def macro_p1(self):
@@ -100,7 +100,7 @@ def run_probe(queries, vocab, ckpt, table=None, restrict=False, catalog=None):
     per_relation = {}
     per_bucket = {}
     rejected = []
-    outcomes = {}
+    outcomes = []
     for q in queries:
         if q.answer not in vocab:
             rejected.append((q.subject, f"answer {q.answer!r} not in vocabulary"))
@@ -117,7 +117,7 @@ def run_probe(queries, vocab, ckpt, table=None, restrict=False, catalog=None):
         else:
             ranked = predict_topk(ckpt, sentence.tokens, positions[0], 1, candidates)
         hit = int(ranked[0][0] == vocab.id(q.answer))
-        outcomes[q.subject] = hit
+        outcomes.append((q.subject, hit))
         rc, rt = per_relation.get(q.relation, (0, 0))
         per_relation[q.relation] = (rc + hit, rt + 1)
         label = bucket_label(q.subject_freq)
@@ -162,6 +162,8 @@ def sweep_norm(queries, vocab, ckpt, lookup_sentences, entity_ids, l_values,
             warnings.warn(f"duplicate norm value {l:g} dropped from sweep")
             continue
         values.append(float(l))
+    if not values:
+        raise ContractError("no norm values to sweep")
     values.sort()
     dirset = collect_directions(entity_ids, lookup_sentences, ckpt, cap=cap)
     curve = []

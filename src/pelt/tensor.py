@@ -419,6 +419,3 @@ class ParamStore:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
-
-    def total_size(self):
-        return sum(t.size for t in self._params.values())

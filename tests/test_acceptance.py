@@ -182,8 +182,8 @@ def test_criterion_07_domain_adaptation(flagship):
         run = flagship[seed]
         bundle = run["bundle"]
         zero_ids = [e.entity_id for e in bundle.catalog if e.train_freq == 0]
-        v_hits = sum(run["vanilla"].outcomes[i] for i in zero_ids)
-        i_hits = sum(run["infused"].outcomes[i] for i in zero_ids)
+        v_hits = sum(hit for s, hit in run["vanilla"].outcomes if s in zero_ids)
+        i_hits = sum(hit for s, hit in run["infused"].outcomes if s in zero_ids)
         chance = 2.0 / len(bundle.vocab)
         seed_ok = i_hits > 0 and (v_hits / len(zero_ids)) <= chance
         ok = ok and seed_ok

@@ -4,7 +4,38 @@ import os
 
 import pytest
 
-from pelt.cli import main
+from pelt.cli import main, parse_args
+
+# Per subcommand: its required options, then a non-default value for every
+# other option. A new option must be added here, or the round-trip test fails.
+EVERY_OPTION = {
+    "gen-corpus": ({"out": "d"},
+                   {"seed": 7, "entities": 9, "budget": 99, "zipf": 1.5,
+                    "lookup_per_entity": 3, "zero_train": 1}),
+    "train": ({"data": "d", "out": "m.bin"},
+              {"seed": 7, "steps": 9, "lr": 0.5, "batch": 4, "dim": 8, "layers": 1,
+               "heads": 2, "ffn_mult": 3, "maxlen": 9, "ln_eps": 1e-3,
+               "mask_rate": 0.3, "log_every": 5}),
+    "build-table": ({"ckpt": "m.bin", "data": "d", "out": "t.bin"},
+                    {"l": 2.5, "cap": 9, "entities": "a,b", "source": "train"}),
+    "probe": ({"ckpt": "m.bin", "data": "d"},
+              {"table": "t.bin", "restrict": True, "strict": True, "tsv": "p.tsv"}),
+    "sweep": ({"ckpt": "m.bin", "data": "d"},
+              {"l": "1,3", "cap": 9, "restrict": True, "tsv": "s.tsv"}),
+    "link": ({"graph": "g.txt"}, {"tsv": "l.tsv"}),
+    "gradcheck": ({}, {"seed": 7, "dim": 8, "layers": 1, "heads": 2, "vocab": 9,
+                       "samples": 5, "h": 1e-3, "tol": 0.5}),
+    "oracle": ({}, {"seed": 7, "dim": 8, "vocab": 9, "small_vocab": 3,
+                    "occurrences": 4}),
+}
+
+
+def _flags(options):
+    argv = []
+    for key, value in options.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
 
 
 def _files(d):
@@ -167,6 +198,14 @@ class TestUsageAndConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "1..x" in err
 
+    def test_empty_l_range_exits_2(self, pipeline, capsys):
+        _, data, ckpt = pipeline
+        rc = main(["sweep", "--ckpt", ckpt, "--data", data, "--l", "5..1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "5..1" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command, key", [("train", "step=1"),
                                               ("build-table", "threads=2")])
     def test_unknown_config_key_exits_2(self, pipeline, tmp_path, capsys, command, key):
@@ -181,3 +220,77 @@ class TestUsageAndConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and repr(key.split("=")[0]) in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, line, named", [
+        ("build-table", "source=foo", "source='foo'"),
+        ("probe", "restrict=maybe", "restrict='maybe'"),
+        ("probe", "restrict", "'restrict'"),
+    ])
+    def test_bad_config_line_exits_2(self, pipeline, tmp_path, capsys, command, line,
+                                     named):
+        _, data, ckpt = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = str(tmp_path / "out.bin")
+        argv = {"build-table": ["build-table", "--ckpt", ckpt, "--data", data,
+                                "--out", out],
+                "probe": ["probe", "--ckpt", ckpt, "--data", data]}[command]
+        assert main(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and named in captured.err
+        assert captured.out == "" and not os.path.exists(out)
+
+    def test_config_switch_path_and_list_values_take_effect(self, pipeline, tmp_path,
+                                                            capsys):
+        _, data, ckpt = pipeline
+        with open(os.path.join(data, "catalog.tsv")) as f:
+            eid = f.read().splitlines()[1].split("\t")[0]
+        cfg = tmp_path / "run.cfg"
+        table = str(tmp_path / "one.bin")
+        cfg.write_text(f"entities={eid}\n")
+        assert main(["build-table", "--ckpt", ckpt, "--data", data, "--out", table,
+                     "--config", str(cfg)]) == 0
+        assert "stored=1 skipped=0" in capsys.readouterr().out
+        probe = ["probe", "--ckpt", ckpt, "--data", data, "--table", table]
+        flags_tsv, file_tsv = str(tmp_path / "flags.tsv"), str(tmp_path / "file.tsv")
+        assert main(probe) == 0
+        unrestricted = capsys.readouterr().out
+        assert main(probe + ["--restrict", "--tsv", flags_tsv]) == 0
+        by_flags = capsys.readouterr().out
+        cfg.write_text(f"restrict=true\ntsv={file_tsv}\n")
+        assert main(probe + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == by_flags != unrestricted
+        assert open(file_tsv).read() == open(flags_tsv).read()
+
+    @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+    def test_config_round_trips_every_option(self, tmp_path, command):
+        required, optional = EVERY_OPTION[command]
+        from_flags = vars(parse_args([command] + _flags(required) + _flags(optional)))
+        defaults = vars(parse_args([command] + _flags(required)))
+        assert set(required) | set(optional) == set(from_flags) - {"func", "command",
+                                                                   "config"}
+        assert all(from_flags[key] != defaults[key] for key in optional)
+        lines = [f"{key}={'true' if from_flags[key] is True else from_flags[key]}\n"
+                 for key in {**required, **optional}]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(lines))
+        from_file = vars(parse_args([command] + _flags(required) + ["--config", str(cfg)]))
+        assert from_file == {**from_flags, "config": str(cfg)}
+
+    @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+    def test_seed_only_where_used(self, command):
+        argv = [command] + _flags(EVERY_OPTION[command][0]) + ["--seed", "5"]
+        if command in ("gen-corpus", "train", "gradcheck", "oracle"):
+            assert parse_args(argv).seed == 5
+        else:
+            with pytest.raises(SystemExit) as err:
+                parse_args(argv)
+            assert err.value.code == 2
+
+    def test_abbreviated_flag_exits_2(self, pipeline, tmp_path):
+        _, data, _ = pipeline
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", data, "--out", str(tmp_path / "m.bin"),
+                  "--step", "3"])
+        assert err.value.code == 2
+        assert not (tmp_path / "m.bin").exists()

@@ -6,12 +6,12 @@ import pytest
 
 from pelt.checkpoint import (deserialize_checkpoint, fingerprint,
                              load_checkpoint, save_checkpoint,
-                             serialize_checkpoint, check_dim)
+                             serialize_checkpoint)
 from pelt.corpus import CorpusConfig, generate_corpus, parse_corpus
 from pelt.errors import (ConfigError, ContractError, CorruptionError,
                          FormatError, LengthError)
 from pelt.model import (Checkpoint, ModelConfig, encode,
-                        init_params, mlm_loss, new_checkpoint, output_repr,
+                        init_params, mlm_loss, output_repr,
                         predict_topk, train_mlm)
 from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch
 from pelt.vocab import MASK_ID
@@ -261,10 +261,6 @@ class TestCheckpointIO:
         raw = serialize_checkpoint(tiny) + b"xx"
         with pytest.raises(CorruptionError, match="trailing"):
             deserialize_checkpoint(raw)
-
-    def test_dim_mismatch_guard(self, tiny):
-        with pytest.raises(ConfigError, match="D=16"):
-            check_dim(tiny, 64)
 
     def test_fingerprint_tracks_content(self, tiny):
         fp1 = fingerprint(tiny)

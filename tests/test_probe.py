@@ -51,6 +51,18 @@ class TestRunProbe:
         assert vanilla.per_bucket == infused.per_bucket
         assert vanilla.outcomes == infused.outcomes
 
+    def test_one_outcome_per_query_in_cloze_order(self, world):
+        bundle, ckpt, _ = world
+        report = run_probe(bundle.queries, bundle.vocab, ckpt)
+        assert [s for s, _ in report.outcomes] == [q.subject for q in bundle.queries]
+        q = bundle.queries[0]
+        other = next(o.answer for o in bundle.queries if o.answer != q.answer)
+        twice = [q, ClozeQuery(q.query, q.subject, other, q.relation, q.subject_freq)]
+        report = run_probe(twice, bundle.vocab, ckpt)
+        assert [s for s, _ in report.outcomes] == [q.subject, q.subject]
+        hits = sum(hit for _, hit in report.outcomes)
+        assert hits == report.per_relation[q.relation][0] and hits <= 1
+
     def test_macro_mean_matches_brute_recount(self, world):
         bundle, ckpt, _ = world
         report = run_probe(bundle.queries, bundle.vocab, ckpt)
@@ -147,6 +159,12 @@ class TestSweep:
         direct, _ = build_table(bundle.catalog.ids(), lookup, ckpt, 4.0)
         report = run_probe(bundle.queries, bundle.vocab, ckpt, table=direct)
         assert report.macro_p1 == result.curve[0][1]
+
+    def test_empty_l_values_rejected(self, world):
+        bundle, ckpt, lookup = world
+        with pytest.raises(ContractError, match="no norm values"):
+            sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
+                       bundle.catalog.ids(), [])
 
     def test_nonpositive_l_rejected(self, world):
         bundle, ckpt, lookup = world
