@@ -3,12 +3,13 @@
 Little-endian layout: magic "PELTCKPT", u32 format version, config block
 (u32 dim, layers, heads, ffn_mult, max_len, vocab_size; f64 ln_eps;
 u64 seed), metadata (u64 step, u64 train_seed, f64 final_loss), u32
-parameter count, then per parameter: u32 name length, name bytes, u32 rank,
-u32 dims, f32 data. Weights are always stored as 32-bit floats.
+parameter count, then per parameter: u32 name length, UTF-8 name bytes, u32
+rank (1 or 2), u32 dims, f32 data. Weights are always stored as 32-bit floats.
 """
 
 import hashlib
 import io
+import math
 import struct
 
 import numpy as np
@@ -44,8 +45,9 @@ def serialize_checkpoint(ckpt):
 
 
 def save_checkpoint(ckpt, path):
+    data = serialize_checkpoint(ckpt)
     with open(path, "wb") as f:
-        f.write(serialize_checkpoint(ckpt))
+        f.write(data)
 
 
 class _Reader:
@@ -63,6 +65,15 @@ class _Reader:
 
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self):
+        """A u32 byte length followed by that many UTF-8 bytes."""
+        (n,) = self.unpack("<I")
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.label}: string at byte {self.off - n} is not UTF-8") from None
 
     def done(self):
         if self.off != len(self.data):
@@ -85,11 +96,12 @@ def deserialize_checkpoint(data, label="checkpoint"):
     (count,) = r.unpack("<I")
     params = ParamStore()
     for _ in range(count):
-        (name_len,) = r.unpack("<I")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text()
         (rank,) = r.unpack("<I")
+        if rank not in (1, 2):
+            raise FormatError(f"{label}: parameter {name!r} has rank {rank}, not 1 or 2")
         shape = r.unpack(f"<{rank}I")
-        n = int(np.prod(shape)) if rank else 1
+        n = math.prod(shape)
         arr = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape).copy()
         params.add(name, arr)
     r.done()

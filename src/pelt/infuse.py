@@ -4,7 +4,8 @@ For every mention whose entity is in the table, the triple
 ( <entity vector> ) is inserted immediately after the mention's last
 subword; the original subwords stay in place and inserted slots take
 ordinary sequential positions. Mentions absent from the table are left
-untouched, so an empty table reproduces the vanilla model exactly.
+untouched, so an empty table reproduces the vanilla model exactly. Tables
+arrive verified against the checkpoint (see load_table and run_probe).
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,6 @@ import numpy as np
 
 from pelt.errors import ContractError, LengthError
 from pelt.model import encode, output_repr, rank_tokens
-from pelt.table import verify_table
 from pelt.vocab import LBRACKET_ID, MASK_ID, RBRACKET_ID
 
 
@@ -86,12 +86,11 @@ def strip(aug):
 
 
 def cloze_predict_infused(sentence, mask_pos, table, ckpt, k, candidates=None):
-    """predict_topk over the augmented encoding at the mapped MASK position."""
+    """predict_topk at the mapped MASK position; table and ckpt are a verified pair."""
     if sentence.tokens[mask_pos] != MASK_ID:
         raise ContractError(f"position {mask_pos} does not hold [MASK]")
-    verify_table(table, ckpt)
     aug = augment(sentence, table, max_len=ckpt.config.max_len)
     h = encode(ckpt, [aug.model_slots()])[0]
     mapped = int(aug.provenance[mask_pos])
-    r = output_repr(ckpt, h, mapped)
+    r = output_repr(ckpt, h[mapped:mapped + 1])[0]
     return rank_tokens(ckpt, r, k, candidates)

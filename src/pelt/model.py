@@ -5,8 +5,8 @@ are computed as r @ E^T and no separate output matrix exists in the
 parameter store. Inference has two operations: encode() runs one padded,
 no-grad pass over a batch of slot sequences, where a slot is a token id or
 a direct input vector (which is what lets constructed entity embeddings
-ride along as pseudo-tokens), and output_repr() applies the MLM head at
-one position.
+ride along as pseudo-tokens), and output_repr() applies the MLM head to a
+stack of contextual vectors.
 """
 
 import time
@@ -173,13 +173,10 @@ def _attention_bias(pad, dtype):
     return bias[:, None, None, :]
 
 
-def output_repr(ckpt, h, position):
-    """MLM-head transform of one contextual vector; the vector PELT aggregates."""
-    if not 0 <= position < h.shape[0]:
-        raise IndexError(f"position {position} outside sequence of {h.shape[0]}")
+def output_repr(ckpt, rows):
+    """MLM-head transform of each row of an (m, D) stack; PELT sums these."""
     with no_grad():
-        r = _head(ckpt.params, ckpt.config, Tensor(h[position:position + 1]))
-    return r.data[0]
+        return _head(ckpt.params, ckpt.config, Tensor(rows)).data
 
 
 # ---------------------------------------------------------------------------
@@ -220,38 +217,21 @@ def _lr_schedule(base, step, steps):
     return base * (1.0 - 0.9 * frac)
 
 
-@dataclass
-class _Prepared:
-    tokens: np.ndarray
-    is_mention: np.ndarray
-
-
-def _prepare(sentences):
-    prepped = []
-    for s in sentences:
-        toks = np.asarray(s.tokens, dtype=np.int64)
-        mention = np.zeros(len(s.tokens), dtype=bool)
-        for m in s.mentions:
-            mention[m.start:m.end] = True
-        prepped.append(_Prepared(toks, mention))
-    return prepped
-
-
-def _mask_batch(prepped, picks, rng, mask_rate):
-    lens = [prepped[i].tokens.size for i in picks]
+def _mask_batch(seqs, picks, rng, mask_rate):
+    lens = [seqs[i].size for i in picks]
     n = max(lens)
     b = len(picks)
     tokens = np.full((b, n), PAD_ID, dtype=np.int64)
     targets = np.full((b, n), -1, dtype=np.int64)
     for row, i in enumerate(picks):
-        s = prepped[i]
-        ln = s.tokens.size
-        tokens[row, :ln] = s.tokens
+        seq = seqs[i]
+        ln = seq.size
+        tokens[row, :ln] = seq
         draw = rng.random(ln)
         chosen = draw < mask_rate
         if not chosen.any():
             chosen[rng.integers(ln)] = True
-        targets[row, :ln][chosen] = s.tokens[chosen]
+        targets[row, :ln][chosen] = seq[chosen]
         tokens[row, :ln][chosen] = MASK_ID
     return tokens, targets
 
@@ -262,10 +242,10 @@ def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
     if not sentences:
         raise ContractError("train corpus is empty")
     params = init_params(config, np.float32)
-    prepped = _prepare(sentences)
-    for p in prepped:
-        if p.tokens.size > config.max_len:
-            raise LengthError(f"training sentence of {p.tokens.size} tokens exceeds "
+    seqs = [np.asarray(s.tokens, dtype=np.int64) for s in sentences]
+    for seq in seqs:
+        if seq.size > config.max_len:
+            raise LengthError(f"training sentence of {seq.size} tokens exceeds "
                               f"max length {config.max_len}")
     rng = np.random.default_rng(seed)
     adam = Adam(params, lr)
@@ -273,8 +253,8 @@ def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
     recent = []
     last = float("nan")
     for step in range(steps):
-        picks = rng.integers(0, len(prepped), size=batch_size)
-        tokens, targets = _mask_batch(prepped, picks, rng, mask_rate)
+        picks = rng.integers(0, len(seqs), size=batch_size)
+        tokens, targets = _mask_batch(seqs, picks, rng, mask_rate)
         loss = mlm_loss(params, config, tokens, targets)
         last = loss.item()
         if not np.isfinite(last):
@@ -317,5 +297,5 @@ def predict_topk(ckpt, tokens, position, k, candidates=None):
     if tokens[position] != MASK_ID:
         raise ContractError(f"position {position} does not hold [MASK]")
     h = encode(ckpt, [tokens])[0]
-    r = output_repr(ckpt, h, position)
+    r = output_repr(ckpt, h[position:position + 1])[0]
     return rank_tokens(ckpt, r, k, candidates)

@@ -8,7 +8,7 @@ from pelt.corpus import BUCKET_LABELS, bucket_label, parse_marked_line
 from pelt.errors import ContractError
 from pelt.infuse import cloze_predict_infused
 from pelt.model import predict_topk
-from pelt.table import collect_directions, table_from_directions
+from pelt.table import collect_directions, table_from_directions, verify_table
 from pelt.vocab import MASK_ID
 
 
@@ -89,13 +89,16 @@ def run_probe(queries, vocab, ckpt, table=None, restrict=False, catalog=None):
     """Evaluate P@1 per relation and per frequency bucket.
 
     ``table=None`` runs the vanilla model; an empty table gives identical
-    results. ``restrict=True`` ranks only over the relation's answer tokens
+    results. A table is verified against ``ckpt`` once, before any query.
+    ``restrict=True`` ranks only over the relation's answer tokens
     (requires the catalog to derive the pools).
     """
     if not queries:
         raise ContractError("cloze set is empty")
     if restrict and catalog is None:
         raise ContractError("candidate restriction needs the entity catalog")
+    if table is not None:
+        verify_table(table, ckpt)
     pools = _candidate_ids(catalog, vocab) if restrict else {}
     per_relation = {}
     per_bucket = {}

@@ -4,11 +4,12 @@ An entity embedding is the constant-norm rescaling of the summed output
 representations of its masked occurrences: only the direction of the sum
 survives, so any positive scaling factor applied before rescaling leaves the
 stored vector unchanged. Tables carry the fingerprint of the checkpoint
-that produced them and refuse to be used with any other.
+that produced them and refuse to be used with any other: load_table and
+probe.run_probe check the pairing, once each.
 
 Table file layout (little-endian): magic "PELTTBL1", u32 version, 32-byte
 checkpoint fingerprint, u32 D, f32 norm constant L, u32 entry count, then
-per entry: u32 id length, id bytes, u32 occurrence count, D f32 values.
+per entry: u32 id length, UTF-8 id bytes, u32 occurrence count, D f32 values.
 """
 
 import struct
@@ -66,7 +67,8 @@ def verify_table(table, ckpt):
 def collect_masked_outputs(entity_id, occ_set, ckpt):
     """Output representations at the MASK of every stored occurrence.
 
-    Returns an (m, D) array in occurrence-set order.
+    Occurrences are encoded in chunks of 32 and the MLM head runs once per
+    chunk. Returns an (m, D) array in occurrence-set order.
     """
     if occ_set.empty:
         raise NoOccurrencesError(entity_id)
@@ -76,8 +78,8 @@ def collect_masked_outputs(entity_id, occ_set, ckpt):
     for lo in range(0, len(items), _COLLECT_BATCH):
         chunk = items[lo:lo + _COLLECT_BATCH]
         hs = encode(ckpt, [occ.tokens for occ in chunk])
-        for j, (occ, h) in enumerate(zip(chunk, hs)):
-            out[lo + j] = output_repr(ckpt, h, occ.mask_pos)
+        rows = np.stack([h[occ.mask_pos] for occ, h in zip(chunk, hs)])
+        out[lo:lo + len(chunk)] = output_repr(ckpt, rows)
     return out
 
 
@@ -256,12 +258,13 @@ def serialize_table(table):
 
 
 def save_table(table, path):
+    data = serialize_table(table)
     with open(path, "wb") as f:
-        f.write(serialize_table(table))
+        f.write(data)
 
 
-def load_table(path, ckpt=None):
-    """Load a table; when a checkpoint is supplied the fingerprint is verified."""
+def load_table(path, ckpt):
+    """Load a table; FingerprintError unless ``ckpt`` is the one that built it."""
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data, str(path))
@@ -276,13 +279,11 @@ def load_table(path, ckpt=None):
     (count,) = r.unpack("<I")
     entries = {}
     for _ in range(count):
-        (id_len,) = r.unpack("<I")
-        eid = r.take(id_len).decode("utf-8")
+        eid = r.text()
         (occ,) = r.unpack("<I")
         vec = np.frombuffer(r.take(4 * dim), dtype="<f4").copy()
         entries[eid] = TableEntry(vec, occ)
     r.done()
     table = EntityEmbeddingTable(fp, dim, float(norm_l), entries)
-    if ckpt is not None:
-        verify_table(table, ckpt)
+    verify_table(table, ckpt)
     return table

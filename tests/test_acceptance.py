@@ -84,11 +84,11 @@ def test_criterion_02_tied_weight_behavior():
     token, coord = 23, 5
     unrelated = [7, MASK_ID, 11, 40]  # token 23 absent from the input
     emb_before = encode(ckpt, [[token]])[0].copy()
-    r_before = output_repr(ckpt, encode(ckpt, [unrelated])[0], 1)
+    r_before = output_repr(ckpt, encode(ckpt, [unrelated])[0][1:2])[0]
     logit_before = float(ckpt.params["emb.word"].data[token] @ r_before)
     ckpt.params["emb.word"].data[token, coord] += 0.25
     emb_after = encode(ckpt, [[token]])[0]
-    r_after = output_repr(ckpt, encode(ckpt, [unrelated])[0], 1)
+    r_after = output_repr(ckpt, encode(ckpt, [unrelated])[0][1:2])[0]
     logit_after = float(ckpt.params["emb.word"].data[token] @ r_after)
     input_moved = np.abs(emb_after - emb_before).max() > 0
     npt.assert_array_equal(r_before, r_after)

@@ -6,7 +6,7 @@ import pytest
 
 from pelt.corpus import (CorpusConfig, Mention, Sentence, generate_corpus,
                          parse_corpus, parse_marked_line)
-from pelt.errors import ConfigError, ContractError, FingerprintError, LengthError
+from pelt.errors import ConfigError, ContractError, LengthError
 from pelt.infuse import (AugmentedSequence, VectorSlot, augment,
                          cloze_predict_infused, strip)
 from pelt.model import encode, predict_topk
@@ -167,16 +167,6 @@ class TestClozePredictInfused:
         a = cloze_predict_infused(s, pos, table, ckpt, 3)
         b = cloze_predict_infused(s, pos, table, ckpt, 3)
         assert a == b
-
-    def test_foreign_fingerprint_rejected(self, world):
-        bundle, ckpt, table = world
-        entity = bundle.catalog.entries[0]
-        s = _query_sentence(bundle, entity)
-        other = synthetic_checkpoint(dim=16, layers=1, heads=2,
-                                     vocab_size=len(bundle.vocab), max_len=40,
-                                     seed=77, dtype=np.float32)
-        with pytest.raises(FingerprintError):
-            cloze_predict_infused(s, s.tokens.index(MASK_ID), table, other, 3)
 
     def test_mask_required(self, world):
         bundle, ckpt, table = world

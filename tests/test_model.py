@@ -1,5 +1,8 @@
 """Encoder, MLM loss, training determinism, prediction, checkpoint io."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -105,27 +108,32 @@ class TestOutputRepr:
         cfg = ckpt.config
         object.__setattr__(cfg, "ln_eps", 0.0)
         h = encode(ckpt, [[5, 6]])[0]
-        r = output_repr(ckpt, h, 0)
-        assert abs(np.linalg.norm(r) - np.sqrt(16)) < 1e-9
+        r = output_repr(ckpt, h)
+        assert r.shape == (2, 16)
+        npt.assert_allclose(np.linalg.norm(r, axis=1), np.sqrt(16), atol=1e-9)
 
     def test_identical_inputs_identical_outputs(self, tiny):
         h = encode(tiny, [[5, 6, 7]])[0]
-        stacked = np.vstack([h[1], h[1]])
-        a = output_repr(tiny, stacked, 0)
-        b = output_repr(tiny, stacked, 1)
-        npt.assert_array_equal(a, b)
+        r = output_repr(tiny, np.vstack([h[1], h[1]]))
+        npt.assert_array_equal(r[0], r[1])
 
     def test_differs_across_positions(self, trained_bits):
         _, sentences, ckpt = trained_bits
         h = encode(ckpt, [sentences[0].tokens])[0]
-        r0 = output_repr(ckpt, h, 0)
-        r1 = output_repr(ckpt, h, len(sentences[0].tokens) - 1)
-        assert np.abs(r0 - r1).max() > 1e-6
+        r = output_repr(ckpt, h[[0, -1]])
+        assert np.abs(r[0] - r[1]).max() > 1e-6
 
-    def test_position_bounds(self, tiny):
-        h = encode(tiny, [[5, 6]])[0]
-        with pytest.raises(IndexError):
-            output_repr(tiny, h, 2)
+    def test_stack_matches_row_by_row(self):
+        # D=64 is where float32 GEMM over a stack rounds differently from
+        # one row at a time; allow 1e-6 of the largest entry (about 8 ulp)
+        ckpt = synthetic_checkpoint(dim=64, layers=1, heads=4, vocab_size=40,
+                                    max_len=16, seed=6, dtype=np.float32)
+        rng = np.random.default_rng(6)
+        h = np.vstack(encode(ckpt, [rng.integers(5, 40, 12) for _ in range(4)]))
+        stacked = output_repr(ckpt, h)
+        rows = np.vstack([output_repr(ckpt, h[i:i + 1]) for i in range(len(h))])
+        assert stacked.shape == h.shape and stacked.dtype == np.float32
+        assert np.abs(stacked - rows).max() <= 1e-6 * np.abs(rows).max()
 
 
 class TestMlmLoss:
@@ -158,11 +166,11 @@ class TestMlmLoss:
         token = 17
         other = [5, MASK_ID, 9]  # unrelated masked input, token 17 absent
         h0 = encode(ckpt, [[token]])[0]
-        r = output_repr(ckpt, encode(ckpt, [other])[0], 1)
+        r = output_repr(ckpt, encode(ckpt, [other])[0][1:2])[0]
         logit0 = ckpt.params["emb.word"].data[token] @ r
         ckpt.params["emb.word"].data[token, 3] += 0.5
         h1 = encode(ckpt, [[token]])[0]
-        r1 = output_repr(ckpt, encode(ckpt, [other])[0], 1)
+        r1 = output_repr(ckpt, encode(ckpt, [other])[0][1:2])[0]
         logit1 = ckpt.params["emb.word"].data[token] @ r1
         assert np.abs(h1 - h0).max() > 1e-9  # input side moved
         assert abs(logit1 - logit0) > 1e-9  # output side moved
@@ -214,6 +222,11 @@ class TestPredictTopk:
         with pytest.raises(ContractError):
             predict_topk(tiny, [5, 6, 7], 1, 3)
 
+    def test_position_bounds(self, tiny):
+        for position in (3, -1):
+            with pytest.raises(IndexError):
+                predict_topk(tiny, [5, MASK_ID, 7], position, 3)
+
     def test_candidate_restriction(self, tiny):
         ranked = predict_topk(tiny, [5, MASK_ID, 7], 1, 5, candidates=[8, 9, 10])
         assert {t for t, _ in ranked} == {8, 9, 10}
@@ -261,6 +274,27 @@ class TestCheckpointIO:
         raw = serialize_checkpoint(tiny) + b"xx"
         with pytest.raises(CorruptionError, match="trailing"):
             deserialize_checkpoint(raw)
+
+    def test_non_utf8_name_rejected(self, tiny):
+        raw = bytearray(serialize_checkpoint(tiny))
+        raw[raw.index(b"emb.word")] = 0xFF
+        with pytest.raises(FormatError, match="UTF-8"):
+            deserialize_checkpoint(bytes(raw))
+
+    def test_rank_other_than_1_or_2_rejected(self, tiny):
+        raw = bytearray(serialize_checkpoint(tiny))
+        at = raw.index(b"emb.word") + len(b"emb.word")  # the u32 rank
+        raw[at:at + 4] = (70).to_bytes(4, "little")
+        with pytest.raises(FormatError, match="rank 70"):
+            deserialize_checkpoint(bytes(raw))
+
+    def test_failed_save_keeps_previous_file(self, tiny, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(tiny, path)
+        before = path.read_bytes()
+        with pytest.raises(struct.error):
+            save_checkpoint(dataclasses.replace(tiny, step=-1), path)
+        assert path.read_bytes() == before
 
     def test_fingerprint_tracks_content(self, tiny):
         fp1 = fingerprint(tiny)

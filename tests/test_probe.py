@@ -1,11 +1,14 @@
 """Probe harness: P@1 accounting, buckets, report shape, norm sweep."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from pelt.checkpoint import fingerprint
 from pelt.cloze import ClozeQuery, load_cloze, save_cloze
 from pelt.corpus import BUCKET_LABELS, CorpusConfig, generate_corpus, parse_corpus
-from pelt.errors import ContractError
+from pelt.errors import ContractError, FingerprintError
 from pelt.probe import run_probe, sweep_norm
 from pelt.synth import synthetic_checkpoint
 from pelt.table import build_table, empty_table, table_from_directions
@@ -99,6 +102,34 @@ class TestRunProbe:
         bundle, ckpt, _ = world
         with pytest.raises(ContractError):
             run_probe([], bundle.vocab, ckpt)
+
+    def test_foreign_fingerprint_rejected(self, world):
+        bundle, ckpt, lookup = world
+        table, _ = build_table(bundle.catalog.ids(), lookup, ckpt, 4.0)
+        other = synthetic_checkpoint(dim=16, layers=1, heads=2,
+                                     vocab_size=len(bundle.vocab), max_len=40,
+                                     seed=77, dtype=np.float32)
+        with pytest.raises(FingerprintError):
+            run_probe(bundle.queries, bundle.vocab, other, table=table)
+
+    def test_fingerprint_count_independent_of_query_count(self, world, monkeypatch):
+        bundle, ckpt, lookup = world
+        table, _ = build_table(bundle.catalog.ids(), lookup, ckpt, 4.0)
+        calls = []
+
+        def counted(c):
+            calls.append(1)
+            return fingerprint(c)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pelt") and vars(module).get("fingerprint") is fingerprint:
+                monkeypatch.setattr(module, "fingerprint", counted)
+        counts = []
+        for queries in (bundle.queries[:1], bundle.queries):
+            calls.clear()
+            run_probe(queries, bundle.vocab, ckpt, table=table)
+            counts.append(len(calls))
+        assert len(bundle.queries) > 1 and counts[0] == counts[1] > 0
 
     def test_render_formats(self, world):
         bundle, ckpt, _ = world

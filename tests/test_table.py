@@ -73,13 +73,20 @@ class TestBuildEmbedding:
 class TestCollect:
     def test_single_occurrence_composes_encode_and_head(self, setup):
         bundle, ckpt, lookup = setup
+        from pelt.model import encode, output_repr
+
+        def one_by_one(occ):
+            rows = [encode(ckpt, [o.tokens])[0][o.mask_pos:o.mask_pos + 1] for o in occ.items]
+            return np.vstack([output_repr(ckpt, r) for r in rows])
+
         eid = bundle.catalog.entries[0].entity_id
         occ = index_occurrences([eid], lookup, cap=1)[eid]
-        out = collect_masked_outputs(eid, occ, ckpt)
-        from pelt.model import encode, output_repr
-        h = encode(ckpt, [occ.items[0].tokens])[0]
-        expected = output_repr(ckpt, h, occ.items[0].mask_pos)
-        npt.assert_array_equal(out[0], expected)
+        npt.assert_array_equal(collect_masked_outputs(eid, occ, ckpt), one_by_one(occ))
+        # a whole chunk: padded encode and one stacked head call, float32
+        occ = index_occurrences([eid], lookup, cap=32)[eid]
+        out, ref = collect_masked_outputs(eid, occ, ckpt), one_by_one(occ)
+        assert len(occ) > 1 and out.dtype == np.float32
+        assert np.abs(out - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_order_matches_occurrence_set(self, setup):
         bundle, ckpt, lookup = setup
@@ -219,7 +226,27 @@ class TestTableIO:
         raw[:8] = b"XXXXXXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
-            load_table(path)
+            load_table(path, ckpt)
+
+    def test_non_utf8_id_rejected(self, setup, tmp_path):
+        bundle, ckpt, lookup = setup
+        table, _ = build_table(bundle.catalog.ids()[:1], lookup, ckpt, 1.0)
+        raw = bytearray(serialize_table(table))
+        raw[raw.index(bundle.catalog.ids()[0].encode())] = 0xFF
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_table(path, ckpt)
+
+    def test_failed_save_keeps_previous_file(self, setup, tmp_path):
+        bundle, ckpt, _ = setup
+        path = tmp_path / "t.bin"
+        save_table(empty_table(ckpt), path)
+        before = path.read_bytes()
+        bad = EntityEmbeddingTable(fingerprint(ckpt)[:31], ckpt.config.dim, 1.0, {})
+        with pytest.raises(FormatError):
+            save_table(bad, path)
+        assert path.read_bytes() == before
 
     def test_dim_mismatch_rejected(self, setup):
         bundle, ckpt, _ = setup
