@@ -2,11 +2,12 @@
 
 The softmax weights of the MLM head ARE the word embedding matrix: logits
 are computed as r @ E^T and no separate output matrix exists in the
-parameter store. Inference has two operations: encode() runs one padded,
-no-grad pass over a batch of slot sequences, where a slot is a token id or
-a direct input vector (which is what lets constructed entity embeddings
-ride along as pseudo-tokens), and output_repr() applies the MLM head to a
-stack of contextual vectors.
+parameter store. Inference has two operations: encode() runs one unpadded
+no-grad pass per sequence length over a batch of slot sequences, where a
+slot is a token id or a direct input vector (which is what lets constructed
+entity embeddings ride along as pseudo-tokens), and output_repr() applies
+the MLM head to a stack of contextual vectors. Neither result depends on
+how the inputs are batched.
 """
 
 import time
@@ -39,10 +40,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be positive")
+        if (min(self.dim, self.heads, self.ffn_mult, self.max_len) < 1
+                or self.layers < 0 or not self.ln_eps >= 0):
+            raise ConfigError("need dim, heads, ffn_mult, max_len >= 1 and layers, ln_eps >= 0")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by {self.heads} heads")
-        if self.layers < 0 or self.max_len < 1:
-            raise ConfigError("layers must be >= 0 and max_len >= 1")
 
 
 @dataclass
@@ -130,9 +132,10 @@ def _head(params, cfg, h):
 def encode(ckpt, seqs):
     """Contextual representations for a batch of slot sequences.
 
-    A slot is a token id or a direct (D,) input vector. Sequences are padded
-    with the [PAD] embedding row and masked by length, so a batch of one has
-    no attention bias. Returns one (n_i, D) array per sequence.
+    A slot is a token id or a direct (D,) input vector. The batch is grouped
+    by length (stably) and each group runs as one pass with no padding and
+    no attention bias, so a sequence's vectors do not depend on its batch.
+    Returns one (n_i, D) array per sequence, in input order.
     """
     cfg = ckpt.config
     if not seqs:
@@ -159,14 +162,20 @@ def encode(ckpt, seqs):
             raise ConfigError(
                 f"input vector at slot {j} has shape {vec.shape}, model dim is {cfg.dim}")
         x[i, j] = vec
-    pad = np.arange(tokens.shape[1]) >= np.asarray(lens)[:, None]
-    with no_grad():
-        h = _encoder(ckpt.params, cfg, Tensor(x), _attention_bias(pad, emb.dtype))
-    return [h.data[i, :n] for i, n in enumerate(lens)]
+    groups = {}
+    for i, n in enumerate(lens):
+        groups.setdefault(n, []).append(i)
+    out = [None] * len(seqs)
+    for n, idx in groups.items():
+        with no_grad():
+            h = _encoder(ckpt.params, cfg, Tensor(x if len(groups) == 1 else x[idx, :n]), None)
+        for k, i in enumerate(idx):
+            out[i] = h.data[k]
+    return out
 
 
 def _attention_bias(pad, dtype):
-    """Additive key mask for the (B, n) padding mask; None when nothing pads."""
+    """Additive key mask for a training batch's (B, n) padding mask, or None."""
     if not pad.any():
         return None
     bias = np.where(pad, _NEG_INF, 0.0).astype(dtype)
@@ -174,9 +183,16 @@ def _attention_bias(pad, dtype):
 
 
 def output_repr(ckpt, rows):
-    """MLM-head transform of each row of an (m, D) stack; PELT sums these."""
+    """MLM-head transform of each row of an (m, D) stack; PELT sums these.
+
+    One row runs as a stack of two identical rows: numpy's one-row product
+    rounds differently from a stack, and a row's output must not depend on
+    the stack it came in.
+    """
+    m = len(rows)
+    rows = np.ascontiguousarray(np.vstack([rows, rows]) if m == 1 else rows)
     with no_grad():
-        return _head(ckpt.params, ckpt.config, Tensor(rows)).data
+        return _head(ckpt.params, ckpt.config, Tensor(rows)).data[:m]
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +257,8 @@ def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
     """Train from scratch; deterministic for a fixed (seed, thread count)."""
     if not sentences:
         raise ContractError("train corpus is empty")
+    if steps < 0 or batch_size < 1:
+        raise ContractError(f"need steps >= 0 and batch_size >= 1, got {steps} and {batch_size}")
     params = init_params(config, np.float32)
     seqs = [np.asarray(s.tokens, dtype=np.int64) for s in sentences]
     for seq in seqs:

@@ -27,7 +27,7 @@ from pelt.model import encode, output_repr
 TABLE_MAGIC = b"PELTTBL1"
 TABLE_VERSION = 1
 
-_COLLECT_BATCH = 32
+_COLLECT_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,23 @@ def verify_table(table, ckpt):
         raise ConfigError(f"table D={table.dim} but checkpoint D={ckpt.config.dim}")
 
 
-def collect_masked_outputs(entity_id, occ_set, ckpt):
-    """Output representations at the MASK of every stored occurrence.
+def collect_masked_outputs(occurrences, ckpt):
+    """Output representations at the MASK of each occurrence, in input order.
 
-    Occurrences are encoded in chunks of 32 and the MLM head runs once per
-    chunk. Returns an (m, D) array in occurrence-set order.
+    Occurrences are ordered by length and encoded in slices of at most
+    _COLLECT_SLICE; the MLM head runs once per slice and each slice's mask
+    rows are copied out before the next is encoded. encode never pads and a
+    head row does not depend on its stack, so the (m, D) result equals
+    encoding one occurrence at a time, whatever the slice size.
     """
-    if occ_set.empty:
-        raise NoOccurrencesError(entity_id)
-    out = np.empty((len(occ_set), ckpt.config.dim),
+    out = np.empty((len(occurrences), ckpt.config.dim),
                    dtype=ckpt.params["emb.word"].data.dtype)
-    items = occ_set.items
-    for lo in range(0, len(items), _COLLECT_BATCH):
-        chunk = items[lo:lo + _COLLECT_BATCH]
-        hs = encode(ckpt, [occ.tokens for occ in chunk])
-        rows = np.stack([h[occ.mask_pos] for occ, h in zip(chunk, hs)])
-        out[lo:lo + len(chunk)] = output_repr(ckpt, rows)
+    order = sorted(range(len(occurrences)), key=lambda i: len(occurrences[i].tokens))
+    for lo in range(0, len(order), _COLLECT_SLICE):
+        idx = order[lo:lo + _COLLECT_SLICE]
+        hs = encode(ckpt, [occurrences[i].tokens for i in idx])
+        rows = np.stack([h[occurrences[i].mask_pos] for i, h in zip(idx, hs)])
+        out[idx] = output_repr(ckpt, rows)
     return out
 
 
@@ -113,16 +114,15 @@ class DirectionSet:
 
 
 def collect_directions(entity_ids, sentences, ckpt, cap=256):
-    """Index every entity in one pass, then sum each one's masked outputs."""
+    """Index every entity in one pass, encode every occurrence in one sorted
+    pass, then sum each entity's masked outputs."""
     occ_sets = index_occurrences(sorted(set(entity_ids)), sentences, cap=cap)
-    directions = {}
-    skipped = []
-    for eid, occ in occ_sets.items():
-        if occ.empty:
-            skipped.append(eid)
-        else:
-            r = collect_masked_outputs(eid, occ, ckpt)
-            directions[eid] = (sum_direction(r), len(occ))
+    found = {eid: occ for eid, occ in occ_sets.items() if not occ.empty}
+    r = collect_masked_outputs([o for occ in found.values() for o in occ.items], ckpt)
+    ends = np.cumsum([len(occ) for occ in found.values()])
+    directions = {eid: (sum_direction(rows), len(rows))
+                  for eid, rows in zip(found, np.split(r, ends[:-1]))}
+    skipped = [eid for eid, occ in occ_sets.items() if occ.empty]
     return DirectionSet(fingerprint(ckpt), ckpt.config.dim, directions, skipped)
 
 
@@ -221,7 +221,7 @@ def gradient_direction_oracle(entity_id, occ_set, ckpt, partition_rows=None, see
     """
     if occ_set.empty:
         raise NoOccurrencesError(entity_id)
-    r = collect_masked_outputs(entity_id, occ_set, ckpt).astype(np.float64)
+    r = collect_masked_outputs(occ_set.items, ckpt).astype(np.float64)
     emb = ckpt.params["emb.word"].data.astype(np.float64) \
         if partition_rows is None else np.asarray(partition_rows, dtype=np.float64)
     return DirectionOracleReport(
@@ -276,12 +276,19 @@ def load_table(path, ckpt):
     fp = r.take(32)
     (dim,) = r.unpack("<I")
     (norm_l,) = r.unpack("<f")
+    if not (np.isfinite(norm_l) and norm_l > 0):
+        raise FormatError(f"{path}: norm constant L={norm_l} is not finite and positive")
     (count,) = r.unpack("<I")
     entries = {}
     for _ in range(count):
         eid = r.text()
+        if eid in entries:
+            raise FormatError(f"{path}: entity {eid!r} appears twice")
         (occ,) = r.unpack("<I")
         vec = np.frombuffer(r.take(4 * dim), dtype="<f4").copy()
+        norm = float(np.linalg.norm(vec.astype(np.float64)))
+        if abs(norm - norm_l) > 4 * np.finfo(np.float32).eps * norm_l:  # f32 rounding
+            raise FormatError(f"{path}: entity {eid!r} has norm {norm}, not L={norm_l}")
         entries[eid] = TableEntry(vec, occ)
     r.done()
     table = EntityEmbeddingTable(fp, dim, float(norm_l), entries)

@@ -9,7 +9,6 @@ keep the kernel auditable.
 """
 
 import contextlib
-import threading
 
 import numpy as np
 from scipy.special import erf
@@ -18,24 +17,19 @@ from pelt.errors import ContractError, ShapeError
 
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 
-# per-thread so inference on one thread cannot disable recording for a trainer
-# on another
-_state = threading.local()
-
-
-def _grad_on():
-    return getattr(_state, "grad_enabled", True)
+_grad_enabled = True
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference fast path)."""
-    prev = _grad_on()
-    _state.grad_enabled = False
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _grad_enabled = prev
 
 
 class Tensor:
@@ -116,7 +110,7 @@ def _accum(t, g):
 
 def _result(data, parents, backward):
     out = Tensor(data)
-    if _grad_on() and any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -264,25 +258,6 @@ def gather_rows(table, indices):
             _accum(table, acc)
 
     return _result(data, (table,), backward)
-
-
-def tsum(a):
-    data = np.asarray(a.data.sum())
-
-    def backward(g):
-        _accum(a, np.full_like(a.data, float(g)))
-
-    return _result(data, (a,), backward)
-
-
-def tmean(a):
-    n = a.data.size
-    data = np.asarray(a.data.sum() / n)
-
-    def backward(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
-
-    return _result(data, (a,), backward)
 
 
 def gelu(a):

@@ -294,3 +294,18 @@ class TestUsageAndConfig:
                   "--step", "3"])
         assert err.value.code == 2
         assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--heads", "0"), ("--dim", "0"),
+                                            ("--ffn-mult", "0"), ("--ln-eps", "-1"),
+                                            ("--batch", "0"), ("--steps", "-1")])
+    def test_out_of_range_train_value_exits_1(self, pipeline, tmp_path, capsys,
+                                              flag, value):
+        _, data, _ = pipeline
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--data", data, "--out", str(out), "--steps", "2",
+                   "--dim", "8", "--heads", "2", "--maxlen", "40", "--log-every", "0",
+                   flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists()

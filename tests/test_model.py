@@ -47,6 +47,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=0)
 
+    @pytest.mark.parametrize("field", [{"dim": 0}, {"heads": 0}, {"ffn_mult": 0},
+                                       {"ln_eps": -1.0}, {"ln_eps": float("nan")}])
+    def test_out_of_range_rejected(self, field):
+        with pytest.raises(ConfigError):
+            ModelConfig(vocab_size=10, **field)
+
 
 class TestEncode:
     def test_indices_and_vectors_give_identical_h(self, tiny):
@@ -82,16 +88,20 @@ class TestEncode:
         with pytest.raises(ConfigError):
             encode(tiny, [[5, np.zeros(tiny.config.dim + 1)]])
 
-    def test_padded_batch_matches_batch_of_one(self, tiny):
-        # a token sequence and a vector-slot sequence of different lengths:
-        # padding and the length mask must not leak into either row
-        vec = np.random.default_rng(6).normal(size=tiny.config.dim).astype(np.float32)
-        tokens = [5, 6, 7, 8, 9, 10]
-        slots = [11, vec, 12]
-        batch = encode(tiny, [tokens, slots])
-        assert [h.shape for h in batch] == [(6, tiny.config.dim), (3, tiny.config.dim)]
-        npt.assert_allclose(batch[0], encode(tiny, [tokens])[0], atol=1e-6)
-        npt.assert_allclose(batch[1], encode(tiny, [slots])[0], atol=1e-6)
+    def test_mixed_length_batch_matches_batch_of_one(self):
+        # token and vector-slot sequences of several lengths, repeated lengths
+        # included: each comes back in input order with the bits it has alone
+        for dim, heads in ((16, 2), (48, 4), (64, 4)):
+            ckpt = synthetic_checkpoint(dim=dim, layers=2, heads=heads, vocab_size=40,
+                                        max_len=16, seed=dim, dtype=np.float32)
+            rng = np.random.default_rng(dim)
+            vec = rng.normal(size=dim).astype(np.float32)
+            seqs = [[5, 6, 7, 8, 9, 10], [11, vec, 12], [13], [14, 15, 16],
+                    list(rng.integers(5, 40, 16)), [vec, 17, 18, 19, 20, 21]]
+            batch = encode(ckpt, seqs)
+            assert [h.shape for h in batch] == [(len(s), dim) for s in seqs]
+            for seq, h in zip(seqs, batch):
+                npt.assert_array_equal(h, encode(ckpt, [seq])[0])
 
     def test_empty_batch_and_empty_sequence(self, tiny):
         assert encode(tiny, []) == []
@@ -124,16 +134,17 @@ class TestOutputRepr:
         assert np.abs(r[0] - r[1]).max() > 1e-6
 
     def test_stack_matches_row_by_row(self):
-        # D=64 is where float32 GEMM over a stack rounds differently from
-        # one row at a time; allow 1e-6 of the largest entry (about 8 ulp)
-        ckpt = synthetic_checkpoint(dim=64, layers=1, heads=4, vocab_size=40,
-                                    max_len=16, seed=6, dtype=np.float32)
-        rng = np.random.default_rng(6)
-        h = np.vstack(encode(ckpt, [rng.integers(5, 40, 12) for _ in range(4)]))
-        stacked = output_repr(ckpt, h)
-        rows = np.vstack([output_repr(ckpt, h[i:i + 1]) for i in range(len(h))])
-        assert stacked.shape == h.shape and stacked.dtype == np.float32
-        assert np.abs(stacked - rows).max() <= 1e-6 * np.abs(rows).max()
+        # a head row has the same float32 bits in a stack of 1, 2 or 32
+        for dim, heads in ((16, 2), (48, 4), (64, 4)):
+            ckpt = synthetic_checkpoint(dim=dim, layers=1, heads=heads, vocab_size=40,
+                                        max_len=16, seed=6, dtype=np.float32)
+            rng = np.random.default_rng(6)
+            h = np.vstack(encode(ckpt, [rng.integers(5, 40, 16) for _ in range(4)]))
+            stacked = output_repr(ckpt, h)
+            assert stacked.shape == h.shape and stacked.dtype == np.float32
+            for m in (1, 2, 32):
+                rows = np.vstack([output_repr(ckpt, h[i:i + m]) for i in range(0, len(h), m)])
+                npt.assert_array_equal(rows, stacked)
 
 
 class TestMlmLoss:
@@ -200,6 +211,13 @@ class TestTrain:
         config = ModelConfig(dim=16, layers=1, heads=2, vocab_size=10)
         with pytest.raises(ContractError):
             train_mlm([], config, steps=1, lr=1e-3)
+
+    @pytest.mark.parametrize("steps,batch", [(-1, 32), (1, 0)])
+    def test_negative_steps_or_empty_batch_rejected(self, trained_bits, steps, batch):
+        _, sentences, _ = trained_bits
+        config = ModelConfig(dim=16, layers=1, heads=2, max_len=32, vocab_size=64)
+        with pytest.raises(ContractError, match="steps >= 0 and batch_size >= 1"):
+            train_mlm(sentences, config, steps=steps, lr=1e-3, batch_size=batch)
 
 
 class TestPredictTopk:

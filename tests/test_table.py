@@ -1,5 +1,7 @@
 """Entity embedding construction, the direction oracle, and table io."""
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -70,36 +72,59 @@ class TestBuildEmbedding:
             build_embedding(np.ones((1, 3)), 0.0)
 
 
+def _one_by_one(ckpt, occurrences):
+    """Encode each occurrence alone and run the head on a stack of two rows."""
+    from pelt.model import encode, output_repr
+    rows = [encode(ckpt, [o.tokens])[0][o.mask_pos] for o in occurrences]
+    return np.vstack([output_repr(ckpt, np.stack([r, r]))[:1] for r in rows])
+
+
 class TestCollect:
     def test_single_occurrence_composes_encode_and_head(self, setup):
         bundle, ckpt, lookup = setup
-        from pelt.model import encode, output_repr
-
-        def one_by_one(occ):
-            rows = [encode(ckpt, [o.tokens])[0][o.mask_pos:o.mask_pos + 1] for o in occ.items]
-            return np.vstack([output_repr(ckpt, r) for r in rows])
-
         eid = bundle.catalog.entries[0].entity_id
         occ = index_occurrences([eid], lookup, cap=1)[eid]
-        npt.assert_array_equal(collect_masked_outputs(eid, occ, ckpt), one_by_one(occ))
-        # a whole chunk: padded encode and one stacked head call, float32
+        npt.assert_array_equal(collect_masked_outputs(occ.items, ckpt),
+                               _one_by_one(ckpt, occ.items))
+        # many occurrences of several lengths: unpadded encode and one stacked
+        # head call give the bits of one occurrence at a time
         occ = index_occurrences([eid], lookup, cap=32)[eid]
-        out, ref = collect_masked_outputs(eid, occ, ckpt), one_by_one(occ)
-        assert len(occ) > 1 and out.dtype == np.float32
-        assert np.abs(out - ref).max() <= 1e-6 * np.abs(ref).max()
+        out = collect_masked_outputs(occ.items, ckpt)
+        assert len({len(o.tokens) for o in occ.items}) > 1 and out.dtype == np.float32
+        npt.assert_array_equal(out, _one_by_one(ckpt, occ.items))
 
     def test_order_matches_occurrence_set(self, setup):
         bundle, ckpt, lookup = setup
         eid = bundle.catalog.entries[1].entity_id
         occ = index_occurrences([eid], lookup)[eid]
-        out = collect_masked_outputs(eid, occ, ckpt)
+        out = collect_masked_outputs(occ.items, ckpt)
         assert out.shape == (len(occ), ckpt.config.dim)
+        npt.assert_array_equal(collect_masked_outputs(occ.items[::-1], ckpt), out[::-1])
 
-    def test_empty_set_raises_with_entity_id(self, setup):
-        bundle, ckpt, _ = setup
-        occ = index_occurrences(["ent_404"], [])["ent_404"]
-        with pytest.raises(NoOccurrencesError, match="ent_404"):
-            collect_masked_outputs("ent_404", occ, ckpt)
+    def test_empty_list_gives_no_rows(self, setup):
+        _, ckpt, _ = setup
+        out = collect_masked_outputs([], ckpt)
+        assert out.shape == (0, ckpt.config.dim)
+
+    def test_one_pass_matches_each_entity_alone(self, setup, monkeypatch):
+        import pelt.table
+        bundle, ckpt, lookup = setup
+        ids = bundle.catalog.ids()
+        occ_sets = index_occurrences(ids, lookup)
+        together = collect_directions(ids, lookup, ckpt).directions
+        assert len(together) > 2
+        for eid, (direction, count) in together.items():
+            alone = collect_directions([eid], lookup, ckpt).directions[eid]
+            npt.assert_array_equal(direction, alone[0])
+            assert count == alone[1] == len(occ_sets[eid])
+            npt.assert_array_equal(direction,
+                                   sum_direction(_one_by_one(ckpt, occ_sets[eid].items)))
+        # the slice size is not visible in the result
+        for size in (1, 3, 64):
+            monkeypatch.setattr(pelt.table, "_COLLECT_SLICE", size)
+            again = collect_directions(ids, lookup, ckpt).directions
+            for eid, (direction, _) in together.items():
+                npt.assert_array_equal(again[eid][0], direction)
 
 
 class TestBuildTable:
@@ -236,6 +261,43 @@ class TestTableIO:
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="UTF-8"):
+            load_table(path, ckpt)
+
+    def _patched(self, setup, tmp_path, patch):
+        """A two-entry L=7 table file with ``patch(raw, table)`` applied."""
+        bundle, ckpt, lookup = setup
+        table, _ = build_table(bundle.catalog.ids()[:2], lookup, ckpt, 7.0)
+        raw = bytearray(serialize_table(table))
+        patch(raw, table)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bytes(raw))
+        return path, ckpt
+
+    def test_repeated_id_rejected(self, setup, tmp_path):
+        def patch(raw, table):
+            first, second = (eid.encode() for eid in table.entries)
+            assert len(first) == len(second)
+            at = raw.index(second)
+            raw[at:at + len(second)] = first
+        path, ckpt = self._patched(setup, tmp_path, patch)
+        with pytest.raises(FormatError, match="appears twice"):
+            load_table(path, ckpt)
+
+    @pytest.mark.parametrize("value", [-7.0, 0.0, float("inf"), float("nan")])
+    def test_bad_norm_constant_rejected(self, setup, tmp_path, value):
+        def patch(raw, table):
+            raw[48:52] = struct.pack("<f", value)  # magic, version, fingerprint, D
+        path, ckpt = self._patched(setup, tmp_path, patch)
+        with pytest.raises(FormatError, match="finite and positive"):
+            load_table(path, ckpt)
+
+    def test_vector_norm_other_than_l_rejected(self, setup, tmp_path):
+        def patch(raw, table):
+            # the last entry's vector, scaled to norm 7.007
+            last = next(reversed(table.entries.values()))
+            raw[-4 * len(last.vector):] = (1.001 * last.vector).astype("<f4").tobytes()
+        path, ckpt = self._patched(setup, tmp_path, patch)
+        with pytest.raises(FormatError, match="not L=7"):
             load_table(path, ckpt)
 
     def test_failed_save_keeps_previous_file(self, setup, tmp_path):
