@@ -28,11 +28,11 @@ from pelt import probe as probe_mod
 from pelt import table as table_mod
 from pelt.cloze import load_cloze
 from pelt.corpus import CorpusConfig
-from pelt.errors import PeltError, UsageError
+from pelt.errors import ConfigError, PeltError, UsageError
 from pelt.gradcheck import grad_check
 from pelt.linker import link_document_rows, load_page_graph
 from pelt.model import ModelConfig
-from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch, synthetic_occurrence_set
+from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch, synthetic_occurrences
 from pelt.vocab import Vocabulary
 
 
@@ -227,10 +227,12 @@ def _cmd_gradcheck(args):
 
 def _cmd_oracle(args):
     seed = args.seed
+    if args.small_vocab < 1:
+        raise ConfigError(f"--small-vocab must be >= 1, got {args.small_vocab}")
     _provenance(seed)
     ckpt = synthetic_checkpoint(dim=args.dim, layers=1, heads=4,
                                 vocab_size=args.vocab, seed=seed, dtype=np.float64)
-    occ = synthetic_occurrence_set(args.vocab, occurrences=args.occurrences, seed=seed)
+    occ = synthetic_occurrences(args.vocab, occurrences=args.occurrences, seed=seed)
     report = table_mod.gradient_direction_oracle("synthetic", occ, ckpt, seed=seed)
     rng = np.random.default_rng(seed + 1)
     tiny = table_mod.gradient_direction_oracle(

@@ -36,11 +36,15 @@ def load_cloze(path):
     if not lines or lines[0] != CLOZE_HEADER:
         raise FormatError(f"{path}: missing cloze header line")
     queries = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise FormatError(f"{path}: malformed cloze line {line!r}")
-        queries.append(ClozeQuery(parts[0], parts[1], parts[2], parts[3], int(parts[4])))
+        try:
+            query, subject, answer, relation, freq = line.split("\t")
+            freq = int(freq)
+        except ValueError:
+            raise FormatError(f"{path}, line {number}: malformed cloze line {line!r}") from None
+        if freq < 0:
+            raise FormatError(f"{path}, line {number}: negative subject_freq {freq}")
+        queries.append(ClozeQuery(query, subject, answer, relation, freq))
     return queries

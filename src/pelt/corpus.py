@@ -147,6 +147,11 @@ class CorpusConfig:
             raise ConfigError(f"need at least 2 entities, got {self.n_entities}")
         if self.zero_train_entities > self.n_entities // 2:
             raise ConfigError("too many zero-train entities")
+        if (min(self.seed, self.entity_slot_budget, self.lookup_per_entity,
+                self.zero_train_entities) < 0
+                or not 0 <= self.zipf_exponent < float("inf")):
+            raise ConfigError("need seed, entity_slot_budget, lookup_per_entity, "
+                              "zero_train_entities >= 0 and a finite zipf_exponent >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +206,25 @@ class EntityCatalog:
         if not lines or not lines[0].startswith("id\t"):
             raise FormatError(f"{path}: missing catalog header")
         entries = []
-        for line in lines[1:]:
+        for number, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
-            eid, surface, pieces, freq, prel, ptmpl, facts = line.split("\t")
-            fdict = dict(kv.split("=", 1) for kv in facts.split(";") if kv)
+            try:
+                eid, surface, pieces, freq, prel, ptmpl, facts = line.split("\t")
+                fdict = dict(kv.split("=", 1) for kv in facts.split(";") if kv)
+                freq, ptmpl = int(freq), int(ptmpl)
+            except ValueError:
+                raise FormatError(f"{path}, line {number}: malformed catalog line "
+                                  f"{line!r}") from None
+            if freq < 0:
+                raise FormatError(f"{path}, line {number}: negative freq {freq}")
             entries.append(EntityInfo(eid, surface, tuple(pieces.split(",")), fdict,
-                                      int(freq), prel, int(ptmpl)))
+                                      freq, prel, ptmpl))
         return cls(entries)
 
 
 # ---------------------------------------------------------------------------
-# Sentences and occurrence sets
+# Sentences and occurrences
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -289,28 +301,15 @@ class Occurrence:
     mask_pos: int
 
 
-@dataclass(frozen=True)
-class OccurrenceSet:
-    entity_id: str
-    items: tuple
-
-    @property
-    def empty(self):
-        return not self.items
-
-    def __len__(self):
-        return len(self.items)
-
-
 def index_occurrences(entity_ids, sentences, cap=256):
     """First-encounter, deduplicated, capped masked occurrences per entity.
 
-    One pass over ``sentences`` indexes every requested entity; returns an
-    OccurrenceSet per id, in request order. Every mention yields its own
-    occurrence with only its own span replaced by a single [MASK];
-    duplicates (identical masked token sequences) are dropped before the
-    cap applies, and mentions of an entity that has reached the cap are
-    skipped unexamined.
+    One pass over ``sentences`` indexes every requested entity; returns a
+    tuple of Occurrence per id, in request order, empty for an entity with
+    no mention. Every mention yields its own occurrence with only its own
+    span replaced by a single [MASK]; duplicates (identical masked token
+    sequences) are dropped before the cap applies, and mentions of an
+    entity that has reached the cap are skipped unexamined.
     """
     if isinstance(entity_ids, str):
         raise ContractError("index_occurrences takes a collection of entity ids")
@@ -330,7 +329,7 @@ def index_occurrences(entity_ids, sentences, cap=256):
                 continue
             seen[m.entity_id].add(masked)
             found.append(Occurrence(masked, m.start))
-    return {eid: OccurrenceSet(eid, tuple(found)) for eid, found in items.items()}
+    return {eid: tuple(found) for eid, found in items.items()}
 
 
 # ---------------------------------------------------------------------------

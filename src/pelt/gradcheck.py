@@ -19,8 +19,8 @@ def grad_check(loss_fn, params, h=1e-5, samples=200, seed=0):
     float64 parameters; ``samples`` coordinates are drawn without replacement
     across the whole parameter space.
     """
-    if h <= 0:
-        raise ValueError(f"grad_check: step size must be positive, got {h}")
+    if not h > 0 or samples < 1:
+        raise ContractError(f"grad_check: need h > 0 and samples >= 1, got {h} and {samples}")
     for name, p in params.items():
         if p.data.dtype != np.float64:
             raise ContractError(f"grad_check: parameter {name!r} is not float64")

@@ -2,12 +2,14 @@
 
 The softmax weights of the MLM head ARE the word embedding matrix: logits
 are computed as r @ E^T and no separate output matrix exists in the
-parameter store. Inference has two operations: encode() runs one unpadded
-no-grad pass per sequence length over a batch of slot sequences, where a
-slot is a token id or a direct input vector (which is what lets constructed
-entity embeddings ride along as pseudo-tokens), and output_repr() applies
-the MLM head to a stack of contextual vectors. Neither result depends on
-how the inputs are batched.
+parameter store. Inference is one operation, masked_outputs(): the MLM-head
+output at one position of each slot sequence, where a slot is a token id or
+a direct (D,) input vector (which is what lets constructed entity
+embeddings ride along as pseudo-tokens). Entity tables sum these outputs
+over masked occurrences; predict_topk() ranks the vocabulary against one of
+them, with or without infused vectors. It rests on encode(), one unpadded
+no-grad pass per sequence length, and output_repr(), the head over a stack
+of rows; neither result depends on how the inputs are batched.
 """
 
 import time
@@ -25,6 +27,8 @@ from pelt.vocab import MASK_ID, PAD_ID
 
 _NEG_INF = -1e9
 
+_MASKED_SLICE = 64
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -41,8 +45,9 @@ class ModelConfig:
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be positive")
         if (min(self.dim, self.heads, self.ffn_mult, self.max_len) < 1
-                or self.layers < 0 or not self.ln_eps >= 0):
-            raise ConfigError("need dim, heads, ffn_mult, max_len >= 1 and layers, ln_eps >= 0")
+                or min(self.layers, self.seed) < 0 or not self.ln_eps >= 0):
+            raise ConfigError("need dim, heads, ffn_mult, max_len >= 1 "
+                              "and layers, seed, ln_eps >= 0")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by {self.heads} heads")
 
@@ -195,6 +200,24 @@ def output_repr(ckpt, rows):
         return _head(ckpt.params, ckpt.config, Tensor(rows)).data[:m]
 
 
+def masked_outputs(ckpt, seqs, positions):
+    """MLM-head output at ``positions[i]`` of each slot sequence ``seqs[i]``.
+
+    Sequences are ordered by length and encoded in slices of at most
+    _MASKED_SLICE; the head runs once per slice and each slice's rows are
+    copied out before the next is encoded. encode never pads and a head row
+    does not depend on its stack, so the (m, D) result, in input order,
+    equals encoding one sequence at a time, whatever the slice size.
+    """
+    out = np.empty((len(seqs), ckpt.config.dim), dtype=ckpt.params["emb.word"].data.dtype)
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
+    for lo in range(0, len(order), _MASKED_SLICE):
+        idx = order[lo:lo + _MASKED_SLICE]
+        hs = encode(ckpt, [seqs[i] for i in idx])
+        out[idx] = output_repr(ckpt, np.stack([h[positions[i]] for i, h in zip(idx, hs)]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Loss and training
 # ---------------------------------------------------------------------------
@@ -307,13 +330,12 @@ def rank_tokens(ckpt, r, k, candidates=None):
     return [(int(ids[j]), float(logits[j])) for j in order]
 
 
-def predict_topk(ckpt, tokens, position, k, candidates=None):
-    """Ranked (token id, logit) pairs for the MASK at ``position``."""
-    tokens = list(tokens)
-    if not 0 <= position < len(tokens):
-        raise IndexError(f"position {position} outside sequence of {len(tokens)}")
-    if tokens[position] != MASK_ID:
+def predict_topk(ckpt, slots, position, k, candidates=None):
+    """Ranked (token id, logit) pairs for the [MASK] at ``position`` of a
+    slot sequence (token ids, or infused (D,) vectors as well)."""
+    slots = list(slots)
+    if not 0 <= position < len(slots):
+        raise IndexError(f"position {position} outside sequence of {len(slots)}")
+    if not isinstance(slots[position], (int, np.integer)) or slots[position] != MASK_ID:
         raise ContractError(f"position {position} does not hold [MASK]")
-    h = encode(ckpt, [tokens])[0]
-    r = output_repr(ckpt, h[position:position + 1])[0]
-    return rank_tokens(ckpt, r, k, candidates)
+    return rank_tokens(ckpt, masked_outputs(ckpt, [slots], [position])[0], k, candidates)

@@ -8,7 +8,8 @@ from pelt.corpus import BUCKET_LABELS, bucket_label, parse_marked_line
 from pelt.errors import ContractError
 from pelt.infuse import cloze_predict_infused
 from pelt.model import predict_topk
-from pelt.table import collect_directions, table_from_directions, verify_table
+from pelt.table import (check_norm_l, collect_directions, table_from_directions,
+                        verify_table)
 from pelt.vocab import MASK_ID
 
 
@@ -159,8 +160,7 @@ def sweep_norm(queries, vocab, ckpt, lookup_sentences, entity_ids, l_values,
     """
     values = []
     for l in l_values:
-        if l <= 0:
-            raise ContractError(f"norm values must be positive, got {l}")
+        check_norm_l(l)
         if l in values:
             warnings.warn(f"duplicate norm value {l:g} dropped from sweep")
             continue

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pelt.corpus import Occurrence, OccurrenceSet
+from pelt.corpus import Occurrence
 from pelt.model import Checkpoint, ModelConfig, init_params
 from pelt.vocab import MASK_ID
 
@@ -26,8 +26,7 @@ def synthetic_mlm_batch(vocab_size, batch=4, length=12, masks_per_row=2, seed=0)
     return tokens, targets
 
 
-def synthetic_occurrence_set(vocab_size, occurrences=12, length=10, seed=0,
-                             entity_id="synthetic"):
+def synthetic_occurrences(vocab_size, occurrences=12, length=10, seed=0):
     """Random context sentences, each with one MASK at a random position."""
     rng = np.random.default_rng(seed)
     items = []
@@ -36,4 +35,4 @@ def synthetic_occurrence_set(vocab_size, occurrences=12, length=10, seed=0,
         pos = int(rng.integers(length))
         toks[pos] = MASK_ID
         items.append(Occurrence(tuple(toks), pos))
-    return OccurrenceSet(entity_id, tuple(items))
+    return tuple(items)

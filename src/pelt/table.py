@@ -22,12 +22,10 @@ from pelt.checkpoint import _Reader, fingerprint
 from pelt.corpus import index_occurrences
 from pelt.errors import (ConfigError, ContractError, DegenerateDirectionError,
                          FingerprintError, FormatError, NoOccurrencesError)
-from pelt.model import encode, output_repr
+from pelt.model import masked_outputs
 
 TABLE_MAGIC = b"PELTTBL1"
 TABLE_VERSION = 1
-
-_COLLECT_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -64,24 +62,10 @@ def verify_table(table, ckpt):
         raise ConfigError(f"table D={table.dim} but checkpoint D={ckpt.config.dim}")
 
 
-def collect_masked_outputs(occurrences, ckpt):
-    """Output representations at the MASK of each occurrence, in input order.
-
-    Occurrences are ordered by length and encoded in slices of at most
-    _COLLECT_SLICE; the MLM head runs once per slice and each slice's mask
-    rows are copied out before the next is encoded. encode never pads and a
-    head row does not depend on its stack, so the (m, D) result equals
-    encoding one occurrence at a time, whatever the slice size.
-    """
-    out = np.empty((len(occurrences), ckpt.config.dim),
-                   dtype=ckpt.params["emb.word"].data.dtype)
-    order = sorted(range(len(occurrences)), key=lambda i: len(occurrences[i].tokens))
-    for lo in range(0, len(order), _COLLECT_SLICE):
-        idx = order[lo:lo + _COLLECT_SLICE]
-        hs = encode(ckpt, [occurrences[i].tokens for i in idx])
-        rows = np.stack([h[occurrences[i].mask_pos] for i, h in zip(idx, hs)])
-        out[idx] = output_repr(ckpt, rows)
-    return out
+def check_norm_l(norm_l):
+    """ConfigError unless the norm constant L is finite and positive."""
+    if not (np.isfinite(norm_l) and norm_l > 0):
+        raise ConfigError(f"norm constant L={norm_l:g} is not finite and positive")
 
 
 def sum_direction(r_vectors):
@@ -98,8 +82,7 @@ def sum_direction(r_vectors):
 
 def build_embedding(r_vectors, norm_l):
     """Constant-norm entity embedding: L times the unit direction of the sum."""
-    if norm_l <= 0:
-        raise ConfigError(f"norm constant must be positive, got {norm_l}")
+    check_norm_l(norm_l)
     return norm_l * sum_direction(r_vectors)
 
 
@@ -116,19 +99,19 @@ class DirectionSet:
 def collect_directions(entity_ids, sentences, ckpt, cap=256):
     """Index every entity in one pass, encode every occurrence in one sorted
     pass, then sum each entity's masked outputs."""
-    occ_sets = index_occurrences(sorted(set(entity_ids)), sentences, cap=cap)
-    found = {eid: occ for eid, occ in occ_sets.items() if not occ.empty}
-    r = collect_masked_outputs([o for occ in found.values() for o in occ.items], ckpt)
+    indexed = index_occurrences(sorted(set(entity_ids)), sentences, cap=cap)
+    found = {eid: occ for eid, occ in indexed.items() if occ}
+    flat = [o for occ in found.values() for o in occ]
+    r = masked_outputs(ckpt, [o.tokens for o in flat], [o.mask_pos for o in flat])
     ends = np.cumsum([len(occ) for occ in found.values()])
     directions = {eid: (sum_direction(rows), len(rows))
                   for eid, rows in zip(found, np.split(r, ends[:-1]))}
-    skipped = [eid for eid, occ in occ_sets.items() if occ.empty]
+    skipped = [eid for eid, occ in indexed.items() if not occ]
     return DirectionSet(fingerprint(ckpt), ckpt.config.dim, directions, skipped)
 
 
 def table_from_directions(dirset, norm_l):
-    if norm_l <= 0:
-        raise ConfigError(f"norm constant must be positive, got {norm_l}")
+    check_norm_l(norm_l)
     entries = {}
     for eid in sorted(dirset.directions):
         direction, count = dirset.directions[eid]
@@ -212,23 +195,24 @@ def full_step_cosine(r_vectors, emb_rows):
     return float(step @ s / denom)
 
 
-def gradient_direction_oracle(entity_id, occ_set, ckpt, partition_rows=None, seed=0):
+def gradient_direction_oracle(entity_id, occurrences, ckpt, partition_rows=None, seed=0):
     """Run both checks for one entity against a checkpoint.
 
     ``partition_rows`` overrides the embedding rows used as the partition
     vocabulary (defaults to the checkpoint's full embedding matrix), which is
     how the vocabulary-size dependence of the approximation is demonstrated.
     """
-    if occ_set.empty:
+    if not occurrences:
         raise NoOccurrencesError(entity_id)
-    r = collect_masked_outputs(occ_set.items, ckpt).astype(np.float64)
+    r = masked_outputs(ckpt, [o.tokens for o in occurrences],
+                       [o.mask_pos for o in occurrences]).astype(np.float64)
     emb = ckpt.params["emb.word"].data.astype(np.float64) \
         if partition_rows is None else np.asarray(partition_rows, dtype=np.float64)
     return DirectionOracleReport(
         surrogate_max_deviation=surrogate_gradient_deviation(r, emb, seed=seed),
         full_step_cosine=full_step_cosine(r, emb),
         partition_size=emb.shape[0],
-        occurrence_count=len(occ_set),
+        occurrence_count=len(occurrences),
     )
 
 
@@ -276,8 +260,10 @@ def load_table(path, ckpt):
     fp = r.take(32)
     (dim,) = r.unpack("<I")
     (norm_l,) = r.unpack("<f")
-    if not (np.isfinite(norm_l) and norm_l > 0):
-        raise FormatError(f"{path}: norm constant L={norm_l} is not finite and positive")
+    try:
+        check_norm_l(norm_l)
+    except ConfigError as err:
+        raise FormatError(f"{path}: {err}") from None
     (count,) = r.unpack("<I")
     entries = {}
     for _ in range(count):

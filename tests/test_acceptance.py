@@ -23,7 +23,7 @@ from pelt.linker import (Document, build_alias_table, link_iterate,
 from pelt.model import ModelConfig, encode, mlm_loss, output_repr, train_mlm
 from pelt.probe import run_probe, sweep_norm
 from pelt.synth import (synthetic_checkpoint, synthetic_mlm_batch,
-                        synthetic_occurrence_set)
+                        synthetic_occurrences)
 from pelt.table import (build_embedding, build_table, empty_table,
                         gradient_direction_oracle, load_table, save_table,
                         table_from_directions)
@@ -118,7 +118,7 @@ def test_criterion_03_layer_norm_analytics():
 def test_criterion_04_direction_oracle():
     ckpt = synthetic_checkpoint(dim=32, layers=1, heads=4, vocab_size=512,
                                 seed=4, dtype=np.float64)
-    occ = synthetic_occurrence_set(512, occurrences=12, seed=4)
+    occ = synthetic_occurrences(512, occurrences=12, seed=4)
     t0 = time.time()
     big = gradient_direction_oracle("e", occ, ckpt, seed=4)
     rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior on a miniature pipeline."""
 
 import os
+import shutil
 
 import pytest
 
@@ -297,7 +298,8 @@ class TestUsageAndConfig:
 
     @pytest.mark.parametrize("flag,value", [("--heads", "0"), ("--dim", "0"),
                                             ("--ffn-mult", "0"), ("--ln-eps", "-1"),
-                                            ("--batch", "0"), ("--steps", "-1")])
+                                            ("--batch", "0"), ("--steps", "-1"),
+                                            ("--seed", "-1")])
     def test_out_of_range_train_value_exits_1(self, pipeline, tmp_path, capsys,
                                               flag, value):
         _, data, _ = pipeline
@@ -309,3 +311,61 @@ class TestUsageAndConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--budget", "-1"), ("--seed", "-1"),
+                                            ("--zipf", "-1"), ("--zipf", "nan"),
+                                            ("--lookup-per-entity", "-1"),
+                                            ("--zero-train", "-1")])
+    def test_out_of_range_gen_corpus_value_exits_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d"
+        assert main(["gen-corpus", "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["gradcheck", "--h", "0"],
+                                      ["gradcheck", "--samples", "-1"],
+                                      ["oracle", "--small-vocab", "-1"],
+                                      ["oracle", "--small-vocab", "0"]])
+    def test_out_of_range_diagnostic_value_exits_1(self, capsys, argv):
+        assert main(argv + ["--dim", "8", "--vocab", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["build-table", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_l_exits_1(self, pipeline, tmp_path, capsys, command, value):
+        _, data, ckpt = pipeline
+        out = tmp_path / "out"
+        flag = {"build-table": "--out", "sweep": "--tsv"}[command]
+        rc = main([command, "--ckpt", ckpt, "--data", data, flag, str(out), "--l", value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: norm constant L={value} is not finite and positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,field,value", [
+        ("cloze.tsv", 4, "often"), ("cloze.tsv", 4, "-3"),
+        ("catalog.tsv", 3, "many"), ("catalog.tsv", 3, "-1"),
+        ("catalog.tsv", 6, None),  # six fields
+        ("catalog.tsv", 6, "lives_in"),  # a facts entry without '='
+    ])
+    def test_malformed_data_line_exits_1(self, pipeline, tmp_path, capsys, name, field,
+                                         value):
+        _, data, ckpt = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        path = copy / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split("\t")  # line 3 of the file
+        if value is None:
+            del fields[field]
+        else:
+            fields[field] = value
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tsv = tmp_path / "p.tsv"
+        assert main(["probe", "--ckpt", ckpt, "--data", str(copy), "--tsv", str(tsv)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}, line 3: ")
+        assert not tsv.exists()

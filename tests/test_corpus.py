@@ -145,13 +145,23 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             CorpusConfig(n_entities=1)
 
+    @pytest.mark.parametrize("field", [{"seed": -1}, {"entity_slot_budget": -1},
+                                       {"lookup_per_entity": -1},
+                                       {"zero_train_entities": -1},
+                                       {"zipf_exponent": -1.0},
+                                       {"zipf_exponent": float("inf")},
+                                       {"zipf_exponent": float("nan")}])
+    def test_out_of_range_rejected(self, field):
+        with pytest.raises(ConfigError):
+            CorpusConfig(**field)
+
     def test_restored_occurrences_reproduce_source_sentences(self, bundle):
         sentences = parse_corpus(bundle.lookup_lines, bundle.vocab)
         source = {s.tokens for s in sentences}
         for entity in bundle.catalog:
             occ = index_occurrences([entity.entity_id], sentences)[entity.entity_id]
             pieces = tuple(bundle.vocab.id(p) for p in entity.pieces)
-            for item in occ.items:
+            for item in occ:
                 restored = (item.tokens[:item.mask_pos] + pieces
                             + item.tokens[item.mask_pos + 1:])
                 assert restored in source
@@ -173,9 +183,9 @@ class TestIndexOccurrences:
                            f"[[{entity.entity_id}|{entity.surface}]] likes rice")
         occ = index_occurrences([entity.entity_id], [s])[entity.entity_id]
         assert len(occ) == 1
-        assert occ.items[0].tokens[occ.items[0].mask_pos] == MASK_ID
-        assert occ.items[0].mask_pos == 0
-        assert len(occ.items[0].tokens) == len(s.tokens) - len(entity.pieces) + 1
+        assert occ[0].tokens[occ[0].mask_pos] == MASK_ID
+        assert occ[0].mask_pos == 0
+        assert len(occ[0].tokens) == len(s.tokens) - len(entity.pieces) + 1
 
     def test_duplicates_counted_once(self, bundle):
         entity = bundle.catalog.entries[0]
@@ -194,7 +204,7 @@ class TestIndexOccurrences:
         ]
         occ = index_occurrences([entity.entity_id], sentences, cap=4)[entity.entity_id]
         assert len(occ) == 4
-        kept = [o.tokens[-1] for o in occ.items]
+        kept = [o.tokens[-1] for o in occ]
         assert kept == [bundle.vocab.id(a) for a in answers[:4]]
 
     def test_multi_mention_yields_one_occurrence_per_mention(self, bundle):
@@ -203,12 +213,11 @@ class TestIndexOccurrences:
         s = self._sentence(bundle.vocab, f"{m} ( {m} ) likes rice")
         occ = index_occurrences([entity.entity_id], [s])[entity.entity_id]
         assert len(occ) == 2
-        for item in occ.items:
+        for item in occ:
             assert item.tokens.count(MASK_ID) == 1
 
     def test_absent_entity_gives_flagged_empty_set(self, bundle):
-        occ = index_occurrences(["ent_999"], [])["ent_999"]
-        assert occ.empty and len(occ) == 0
+        assert index_occurrences(["ent_999"], [])["ent_999"] == ()
 
     def test_300_distinct_capped_at_256(self, bundle):
         entity = bundle.catalog.entries[0]
@@ -222,7 +231,7 @@ class TestIndexOccurrences:
         occ = index_occurrences([entity.entity_id], sentences, cap=256)[entity.entity_id]
         assert len(occ) == 256
         first = self._sentence(bundle.vocab, lines[0])
-        assert occ.items[0].tokens == first.tokens[:1].__class__(
+        assert occ[0].tokens == first.tokens[:1].__class__(
             (MASK_ID,)) + first.tokens[len(entity.pieces):]
 
     def test_one_pass_matches_separate_passes(self, bundle):
@@ -239,7 +248,7 @@ class TestIndexOccurrences:
             assert both[eid] == alone
             assert len(alone) == 3
         # a's duplicate "likes rice" line is dropped before its cap applies
-        assert [o.tokens[-1] for o in both[a.entity_id].items] == [
+        assert [o.tokens[-1] for o in both[a.entity_id]] == [
             bundle.vocab.id(w) for w in ("rice", "figs", "honey")]
 
     def test_single_id_string_rejected(self, bundle):

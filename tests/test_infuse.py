@@ -7,8 +7,7 @@ import pytest
 from pelt.corpus import (CorpusConfig, Mention, Sentence, generate_corpus,
                          parse_corpus, parse_marked_line)
 from pelt.errors import ConfigError, ContractError, LengthError
-from pelt.infuse import (AugmentedSequence, VectorSlot, augment,
-                         cloze_predict_infused, strip)
+from pelt.infuse import augment, cloze_predict_infused, strip
 from pelt.model import encode, predict_topk
 from pelt.synth import synthetic_checkpoint
 from pelt.table import build_table, empty_table
@@ -38,23 +37,21 @@ class TestAugment:
         bundle, ckpt, table = world
         entity = bundle.catalog.entries[0]
         s = _query_sentence(bundle, entity)
-        aug = augment(s, table)
+        slots, _ = augment(s, table)
         k = len(entity.pieces)
-        assert aug.slots[k] == LBRACKET_ID
-        assert isinstance(aug.slots[k + 1], VectorSlot)
-        assert aug.slots[k + 2] == RBRACKET_ID
-        npt.assert_array_equal(aug.slots[k + 1].vector,
-                               table.vector(entity.entity_id))
-        assert len(aug) == len(s.tokens) + 3
+        assert slots[k] == LBRACKET_ID
+        npt.assert_array_equal(slots[k + 1], table.vector(entity.entity_id))
+        assert slots[k + 2] == RBRACKET_ID
+        assert len(slots) == len(s.tokens) + 3
         # original subwords are kept, not replaced
-        assert aug.slots[:k] == list(s.tokens[:k])
+        assert slots[:k] == list(s.tokens[:k])
 
     def test_no_mentions_unchanged(self, world):
         bundle, ckpt, table = world
         s = Sentence(tuple(bundle.vocab.id(w) for w in ("someone", "lives", "in")))
-        aug = augment(s, table)
-        assert aug.slots == list(s.tokens)
-        assert aug.insertions == 0
+        slots, provenance = augment(s, table)
+        assert slots == list(s.tokens)
+        npt.assert_array_equal(provenance, np.arange(len(s.tokens)))
 
     def test_unknown_entity_left_untouched(self, world):
         bundle, ckpt, table = world
@@ -62,15 +59,16 @@ class TestAugment:
         line = (f"[[{known.entity_id}|{known.surface}]] and "
                 f"[[ent_404|{known.surface}]] lives in paris")
         s = parse_marked_line(line, bundle.vocab)
-        aug = augment(s, table)
-        assert aug.insertions == 1
+        slots, _ = augment(s, table)
+        assert len(slots) == len(s.tokens) + 3
+        assert sum(isinstance(slot, np.ndarray) for slot in slots) == 1
 
     def test_round_trip_strip(self, world):
         bundle, ckpt, table = world
         for line in bundle.lookup_lines[:40]:
             s = parse_marked_line(line, bundle.vocab)
-            aug = augment(s, table)
-            assert strip(aug) == s.tokens
+            slots, _ = augment(s, table)
+            assert strip(slots) == s.tokens
 
     def test_position_contiguity_and_provenance(self, world):
         bundle, ckpt, table = world
@@ -78,19 +76,23 @@ class TestAugment:
         line = (f"[[{entity.entity_id}|{entity.surface}]] "
                 f"( [[{entity.entity_id}|{entity.surface}]] ) lives in [MASK]")
         s = parse_marked_line(line, bundle.vocab)
-        aug = augment(s, table)
+        slots, provenance = augment(s, table)
         m = 2
-        assert len(aug) == len(s.tokens) + 3 * m
-        for orig, new in enumerate(aug.provenance):
-            slot = aug.slots[new]
-            assert slot == s.tokens[orig]
+        assert len(slots) == len(s.tokens) + 3 * m
+        for orig, new in enumerate(provenance):
+            assert slots[new] == s.tokens[orig]
 
     def test_max_len_guard(self, world):
-        bundle, ckpt, table = world
-        entity = bundle.catalog.entries[0]
-        s = _query_sentence(bundle, entity)
+        # the query fits the model, its augmented slots do not
+        bundle, _, table = world
+        s = _query_sentence(bundle, bundle.catalog.entries[0])
+        pos = s.tokens.index(MASK_ID)
+        ckpt = synthetic_checkpoint(dim=16, layers=1, heads=2,
+                                    vocab_size=len(bundle.vocab), max_len=len(s.tokens) + 2,
+                                    seed=31, dtype=np.float32)
+        predict_topk(ckpt, s.tokens, pos, 1)
         with pytest.raises(LengthError):
-            augment(s, table, max_len=len(s.tokens) + 2)
+            cloze_predict_infused(s, pos, table, ckpt, 1)
 
 
 class TestEncodeAugmented:
@@ -100,10 +102,8 @@ class TestEncodeAugmented:
         bundle, ckpt, table = world
         emb = ckpt.params["emb.word"].data
         tokens = [bundle.vocab.id(w) for w in ("someone", "lives", "in", "paris")]
-        aug = AugmentedSequence(
-            [tokens[0], tokens[1], VectorSlot("x", emb[tokens[2]].copy()), tokens[3]],
-            np.arange(4))
-        h_aug = encode(ckpt, [aug.model_slots()])[0]
+        slots = [tokens[0], tokens[1], emb[tokens[2]].copy(), tokens[3]]
+        h_aug = encode(ckpt, [slots])[0]
         h_plain = encode(ckpt, [tokens])[0]
         npt.assert_array_equal(h_aug, h_plain)
 
@@ -122,8 +122,7 @@ class TestEncodeAugmented:
         vec = np.random.default_rng(2).normal(size=16)
         outs = []
         for c in (0.1, 1.0, 7.0, 10.0):
-            aug = AugmentedSequence([5, VectorSlot("x", c * vec), 6], np.arange(3))
-            outs.append(encode(ckpt, [aug.model_slots()])[0][1])
+            outs.append(encode(ckpt, [[5, c * vec, 6]])[0][1])
         for other in outs[1:]:
             npt.assert_allclose(other, outs[0], atol=1e-9)
 
@@ -133,8 +132,7 @@ class TestEncodeAugmented:
                                     vocab_size=len(bundle.vocab), max_len=8,
                                     seed=3, dtype=np.float64)
         vec = np.random.default_rng(4).normal(size=16)
-        aug = AugmentedSequence([5, VectorSlot("x", vec), 6], np.arange(3))
-        h = encode(ckpt, [aug.model_slots()])[0]
+        h = encode(ckpt, [[5, vec, 6]])[0]
         x = vec + ckpt.params["emb.pos"].data[1]
         mu, var = x.mean(), ((x - x.mean()) ** 2).mean()
         ref = (x - mu) / np.sqrt(var + ckpt.config.ln_eps)
@@ -143,9 +141,8 @@ class TestEncodeAugmented:
 
     def test_dim_mismatch_rejected(self, world):
         bundle, ckpt, table = world
-        aug = AugmentedSequence([5, VectorSlot("x", np.zeros(7)), 6], np.arange(3))
         with pytest.raises(ConfigError):
-            encode(ckpt, [aug.model_slots()])
+            encode(ckpt, [[5, np.zeros(7), 6]])
 
 
 class TestClozePredictInfused:
@@ -158,6 +155,16 @@ class TestClozePredictInfused:
             infused = cloze_predict_infused(s, pos, table, ckpt, 5)
             vanilla = predict_topk(ckpt, s.tokens, pos, 5)
             assert infused == vanilla
+
+    def test_predict_topk_over_augmented_slots_is_infused_prediction(self, world):
+        bundle, ckpt, table = world
+        for entity in bundle.catalog.entries[:5]:
+            s = _query_sentence(bundle, entity)
+            pos = s.tokens.index(MASK_ID)
+            slots, provenance = augment(s, table)
+            assert len(slots) == len(s.tokens) + 3
+            assert (predict_topk(ckpt, slots, int(provenance[pos]), 5)
+                    == cloze_predict_infused(s, pos, table, ckpt, 5))
 
     def test_deterministic(self, world):
         bundle, ckpt, table = world
@@ -176,6 +183,5 @@ class TestClozePredictInfused:
             cloze_predict_infused(s, 0, table, ckpt, 3)
 
     def test_dangling_vector_slot_rejected_by_strip(self, world):
-        aug = AugmentedSequence([5, VectorSlot("x", np.zeros(4)), 6], np.arange(3))
         with pytest.raises(ContractError):
-            strip(aug)
+            strip([5, np.zeros(4), 6])

@@ -14,7 +14,7 @@ from pelt.corpus import CorpusConfig, generate_corpus, parse_corpus
 from pelt.errors import (ConfigError, ContractError, CorruptionError,
                          FormatError, LengthError)
 from pelt.model import (Checkpoint, ModelConfig, encode,
-                        init_params, mlm_loss, output_repr,
+                        init_params, masked_outputs, mlm_loss, output_repr,
                         predict_topk, train_mlm)
 from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch
 from pelt.vocab import MASK_ID
@@ -48,7 +48,8 @@ class TestConfig:
             ModelConfig(vocab_size=0)
 
     @pytest.mark.parametrize("field", [{"dim": 0}, {"heads": 0}, {"ffn_mult": 0},
-                                       {"ln_eps": -1.0}, {"ln_eps": float("nan")}])
+                                       {"ln_eps": -1.0}, {"ln_eps": float("nan")},
+                                       {"seed": -1}])
     def test_out_of_range_rejected(self, field):
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, **field)
@@ -147,6 +148,58 @@ class TestOutputRepr:
                 npt.assert_array_equal(rows, stacked)
 
 
+@pytest.fixture(scope="module")
+def masked_batch(tiny):
+    """70 slot sequences of 1-16 slots, one [MASK] each, some holding vectors."""
+    rng = np.random.default_rng(7)
+    seqs, positions = [], []
+    for _ in range(70):
+        seq = [int(t) for t in rng.integers(5, tiny.config.vocab_size, rng.integers(1, 17))]
+        pos = int(rng.integers(len(seq)))
+        seq[pos] = MASK_ID
+        for j in rng.choice(len(seq), size=len(seq) // 4, replace=False):
+            if j != pos:
+                seq[j] = rng.normal(size=tiny.config.dim).astype(np.float32)
+        seqs.append(seq)
+        positions.append(pos)
+    return seqs, positions
+
+
+def _one_at_a_time(ckpt, seqs, positions):
+    """Encode each sequence alone and run the head on a stack of two rows."""
+    rows = [encode(ckpt, [seq])[0][pos] for seq, pos in zip(seqs, positions)]
+    return np.vstack([output_repr(ckpt, np.stack([r, r]))[:1] for r in rows])
+
+
+class TestMaskedOutputs:
+    def test_single_occurrence_composes_encode_and_head(self, tiny, masked_batch):
+        seqs, positions = masked_batch
+        npt.assert_array_equal(masked_outputs(tiny, seqs[:1], positions[:1]),
+                               _one_at_a_time(tiny, seqs[:1], positions[:1]))
+        # more sequences than one slice, of many lengths: unpadded encode and
+        # one stacked head call per slice give the bits of one at a time
+        out = masked_outputs(tiny, seqs, positions)
+        assert len({len(s) for s in seqs}) > 1 and out.dtype == np.float32
+        npt.assert_array_equal(out, _one_at_a_time(tiny, seqs, positions))
+
+    def test_order_matches_input(self, tiny, masked_batch):
+        seqs, positions = masked_batch
+        out = masked_outputs(tiny, seqs, positions)
+        assert out.shape == (len(seqs), tiny.config.dim)
+        npt.assert_array_equal(masked_outputs(tiny, seqs[::-1], positions[::-1]), out[::-1])
+
+    def test_empty_list_gives_no_rows(self, tiny):
+        assert masked_outputs(tiny, [], []).shape == (0, tiny.config.dim)
+
+    def test_slice_size_not_visible(self, tiny, masked_batch, monkeypatch):
+        import pelt.model
+        seqs, positions = masked_batch
+        out = masked_outputs(tiny, seqs, positions)
+        for size in (1, 3, 64):
+            monkeypatch.setattr(pelt.model, "_MASKED_SLICE", size)
+            npt.assert_array_equal(masked_outputs(tiny, seqs, positions), out)
+
+
 class TestMlmLoss:
     def test_initial_loss_near_log_vocab(self):
         ckpt = synthetic_checkpoint(dim=32, layers=2, heads=4, vocab_size=300,
@@ -239,6 +292,11 @@ class TestPredictTopk:
     def test_position_must_hold_mask(self, tiny):
         with pytest.raises(ContractError):
             predict_topk(tiny, [5, 6, 7], 1, 3)
+
+    def test_position_holding_a_vector_rejected(self, tiny):
+        vec = np.zeros(tiny.config.dim, dtype=np.float32)
+        with pytest.raises(ContractError, match="does not hold"):
+            predict_topk(tiny, [5, vec, MASK_ID], 1, 3)
 
     def test_position_bounds(self, tiny):
         for position in (3, -1):

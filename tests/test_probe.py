@@ -8,7 +8,7 @@ import pytest
 from pelt.checkpoint import fingerprint
 from pelt.cloze import ClozeQuery, load_cloze, save_cloze
 from pelt.corpus import BUCKET_LABELS, CorpusConfig, generate_corpus, parse_corpus
-from pelt.errors import ContractError, FingerprintError
+from pelt.errors import ConfigError, ContractError, FingerprintError
 from pelt.probe import run_probe, sweep_norm
 from pelt.synth import synthetic_checkpoint
 from pelt.table import build_table, empty_table, table_from_directions
@@ -199,6 +199,7 @@ class TestSweep:
 
     def test_nonpositive_l_rejected(self, world):
         bundle, ckpt, lookup = world
-        with pytest.raises(ContractError):
-            sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
-                       bundle.catalog.ids(), [0.0])
+        for l in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
+                           bundle.catalog.ids(), [3.0, l])

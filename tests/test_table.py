@@ -10,10 +10,9 @@ from pelt.checkpoint import fingerprint
 from pelt.corpus import CorpusConfig, generate_corpus, index_occurrences, parse_corpus
 from pelt.errors import (ConfigError, DegenerateDirectionError,
                          FingerprintError, FormatError, NoOccurrencesError)
-from pelt.synth import synthetic_checkpoint, synthetic_occurrence_set
+from pelt.synth import synthetic_checkpoint, synthetic_occurrences
 from pelt.table import (EntityEmbeddingTable, build_embedding, build_table,
-                        collect_directions, collect_masked_outputs,
-                        empty_table, full_step_cosine,
+                        collect_directions, empty_table, full_step_cosine,
                         gradient_direction_oracle, load_table, save_table,
                         serialize_table, sum_direction,
                         surrogate_gradient_deviation, table_from_directions,
@@ -68,8 +67,9 @@ class TestBuildEmbedding:
         npt.assert_allclose(shuffled, base, atol=1e-12)
 
     def test_nonpositive_norm_rejected(self):
-        with pytest.raises(ConfigError):
-            build_embedding(np.ones((1, 3)), 0.0)
+        for l in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                build_embedding(np.ones((1, 3)), l)
 
 
 def _one_by_one(ckpt, occurrences):
@@ -80,34 +80,7 @@ def _one_by_one(ckpt, occurrences):
 
 
 class TestCollect:
-    def test_single_occurrence_composes_encode_and_head(self, setup):
-        bundle, ckpt, lookup = setup
-        eid = bundle.catalog.entries[0].entity_id
-        occ = index_occurrences([eid], lookup, cap=1)[eid]
-        npt.assert_array_equal(collect_masked_outputs(occ.items, ckpt),
-                               _one_by_one(ckpt, occ.items))
-        # many occurrences of several lengths: unpadded encode and one stacked
-        # head call give the bits of one occurrence at a time
-        occ = index_occurrences([eid], lookup, cap=32)[eid]
-        out = collect_masked_outputs(occ.items, ckpt)
-        assert len({len(o.tokens) for o in occ.items}) > 1 and out.dtype == np.float32
-        npt.assert_array_equal(out, _one_by_one(ckpt, occ.items))
-
-    def test_order_matches_occurrence_set(self, setup):
-        bundle, ckpt, lookup = setup
-        eid = bundle.catalog.entries[1].entity_id
-        occ = index_occurrences([eid], lookup)[eid]
-        out = collect_masked_outputs(occ.items, ckpt)
-        assert out.shape == (len(occ), ckpt.config.dim)
-        npt.assert_array_equal(collect_masked_outputs(occ.items[::-1], ckpt), out[::-1])
-
-    def test_empty_list_gives_no_rows(self, setup):
-        _, ckpt, _ = setup
-        out = collect_masked_outputs([], ckpt)
-        assert out.shape == (0, ckpt.config.dim)
-
-    def test_one_pass_matches_each_entity_alone(self, setup, monkeypatch):
-        import pelt.table
+    def test_one_pass_matches_each_entity_alone(self, setup):
         bundle, ckpt, lookup = setup
         ids = bundle.catalog.ids()
         occ_sets = index_occurrences(ids, lookup)
@@ -118,13 +91,7 @@ class TestCollect:
             npt.assert_array_equal(direction, alone[0])
             assert count == alone[1] == len(occ_sets[eid])
             npt.assert_array_equal(direction,
-                                   sum_direction(_one_by_one(ckpt, occ_sets[eid].items)))
-        # the slice size is not visible in the result
-        for size in (1, 3, 64):
-            monkeypatch.setattr(pelt.table, "_COLLECT_SLICE", size)
-            again = collect_directions(ids, lookup, ckpt).directions
-            for eid, (direction, _) in together.items():
-                npt.assert_array_equal(again[eid][0], direction)
+                                   sum_direction(_one_by_one(ckpt, occ_sets[eid])))
 
 
 class TestBuildTable:
@@ -180,14 +147,14 @@ class TestOracle:
     def test_surrogate_deviation_tiny(self):
         ckpt = synthetic_checkpoint(dim=16, layers=1, heads=2, vocab_size=64,
                                     seed=3, dtype=np.float64)
-        occ = synthetic_occurrence_set(64, occurrences=8, seed=3)
+        occ = synthetic_occurrences(64, occurrences=8, seed=3)
         report = gradient_direction_oracle("e", occ, ckpt, seed=3)
         assert report.surrogate_max_deviation < 1e-10
 
     def test_large_vocab_cosine_high_small_vocab_lower(self):
         ckpt = synthetic_checkpoint(dim=32, layers=1, heads=4, vocab_size=512,
                                     seed=4, dtype=np.float64)
-        occ = synthetic_occurrence_set(512, occurrences=12, seed=4)
+        occ = synthetic_occurrences(512, occurrences=12, seed=4)
         big = gradient_direction_oracle("e", occ, ckpt, seed=4)
         rng = np.random.default_rng(5)
         small = gradient_direction_oracle(
@@ -205,10 +172,8 @@ class TestOracle:
     def test_empty_set_rejected(self):
         ckpt = synthetic_checkpoint(dim=16, layers=0, heads=2, vocab_size=16,
                                     seed=7, dtype=np.float64)
-        occ = synthetic_occurrence_set(16, occurrences=1, seed=7)
-        empty = type(occ)(occ.entity_id, ())
         with pytest.raises(NoOccurrencesError):
-            gradient_direction_oracle("e", empty, ckpt)
+            gradient_direction_oracle("e", (), ckpt)
 
 
 class TestTableIO:

@@ -293,8 +293,16 @@ class TestGradCheck:
     def test_zero_h_rejected(self):
         store = ParamStore()
         store.add("p", np.ones(2))
-        with pytest.raises(ValueError, match="positive"):
-            grad_check(lambda: tsum(store["p"]), store, h=0.0)
+        for h in (0.0, -1e-5, float("nan")):
+            with pytest.raises(ContractError, match="h > 0"):
+                grad_check(lambda: tsum(store["p"]), store, h=h)
+
+    def test_no_samples_rejected(self):
+        store = ParamStore()
+        store.add("p", np.ones(2))
+        for samples in (0, -1):
+            with pytest.raises(ContractError, match="samples >= 1"):
+                grad_check(lambda: tsum(store["p"]), store, samples=samples)
 
     def test_float32_params_rejected(self):
         store = ParamStore()
