@@ -64,26 +64,15 @@ def _write_tsv(path, text):
 
 
 def _load_data_dir(data_dir, need=("vocab",)):
+    load = {"vocab": Vocabulary.load, "catalog": corpus_mod.EntityCatalog.load,
+            "cloze": load_cloze, "train": corpus_mod.read_corpus_file,
+            "lookup": corpus_mod.read_corpus_file}
     out = {}
-    paths = {
-        "vocab": os.path.join(data_dir, "vocab.txt"),
-        "catalog": os.path.join(data_dir, "catalog.tsv"),
-        "train": os.path.join(data_dir, "train.txt"),
-        "lookup": os.path.join(data_dir, "lookup.txt"),
-        "cloze": os.path.join(data_dir, "cloze.tsv"),
-    }
     for key in need:
-        path = paths[key]
+        path = os.path.join(data_dir, corpus_mod.DATA_FILES[key])
         if not os.path.exists(path):
             raise PeltError(f"missing {key} file: {path}")
-        if key == "vocab":
-            out[key] = Vocabulary.load(path)
-        elif key == "catalog":
-            out[key] = corpus_mod.EntityCatalog.load(path)
-        elif key == "cloze":
-            out[key] = load_cloze(path)
-        else:
-            out[key] = corpus_mod.read_corpus_file(path)
+        out[key] = load[key](path)
     return out
 
 
@@ -290,7 +279,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--l", type=float, default=7.0)
-    p.add_argument("--cap", type=int, default=256)
+    p.add_argument("--cap", type=int, default=corpus_mod.OCCURRENCE_CAP)
     p.add_argument("--entities", default=None, help="comma-separated entity ids")
     p.add_argument("--source", choices=("lookup", "train"), default="lookup")
 
@@ -306,7 +295,7 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--l", default="1..10", help="e.g. 1..10 or 1,3,7")
-    p.add_argument("--cap", type=int, default=256)
+    p.add_argument("--cap", type=int, default=corpus_mod.OCCURRENCE_CAP)
     p.add_argument("--restrict", action="store_true")
     p.add_argument("--tsv", default=None)
 

@@ -8,16 +8,23 @@ whose completion never appears verbatim in train. Corpus files are UTF-8,
 one sentence per line, with mentions marked inline as [[entity_id|surface]].
 """
 
+import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from pelt.cloze import ClozeQuery
+from pelt.cloze import ClozeQuery, save_cloze
 from pelt.errors import ConfigError, ContractError, FormatError
-from pelt.vocab import MASK_ID, SPECIALS, UNK_ID, Vocabulary, tokenize
+from pelt.vocab import MASK_ID, UNK_ID, Vocabulary, tokenize
 
 MENTION_RE = re.compile(r"\[\[([^|\]]+)\|([^\]]+)\]\]")
+
+# File name of each artifact in a data directory, by key.
+DATA_FILES = {"vocab": "vocab.txt", "catalog": "catalog.tsv", "train": "train.txt",
+              "lookup": "lookup.txt", "cloze": "cloze.tsv"}
+
+OCCURRENCE_CAP = 256  # default distinct occurrences indexed per entity
 
 FREQ_BUCKETS = ((0, 10), (10, 50), (50, 100), (100, None))
 BUCKET_LABELS = ("[0,10)", "[10,50)", "[50,100)", "[100,inf)")
@@ -126,13 +133,6 @@ def default_relations():
 
 
 @dataclass(frozen=True)
-class Grammar:
-    relations: tuple = field(default_factory=default_relations)
-    shared_syllables: tuple = _SHARED_SYLLABLES
-    decorations: tuple = _DECORATIONS
-
-
-@dataclass(frozen=True)
 class CorpusConfig:
     n_entities: int = 50
     zipf_exponent: float = 1.0
@@ -140,7 +140,6 @@ class CorpusConfig:
     lookup_per_entity: int = 24
     zero_train_entities: int = 5
     seed: int = 42
-    grammar: Grammar = field(default_factory=Grammar)
 
     def __post_init__(self):
         if self.n_entities < 2:
@@ -184,9 +183,6 @@ class EntityCatalog:
 
     def __getitem__(self, entity_id):
         return self.by_id[entity_id]
-
-    def __contains__(self, entity_id):
-        return entity_id in self.by_id
 
     def ids(self):
         return [e.entity_id for e in self.entries]
@@ -279,29 +275,13 @@ def strip_markup(line):
     return " ".join(MENTION_RE.sub(lambda m: m.group(2), line).split())
 
 
-def render_sentence(sentence, vocab):
-    """Back to text: mention spans concatenate, everything else space-joins."""
-    spans = {m.start: m for m in sentence.mentions}
-    words = []
-    i = 0
-    while i < len(sentence.tokens):
-        if i in spans:
-            m = spans[i]
-            words.append("".join(vocab.token(t) for t in sentence.tokens[m.start:m.end]))
-            i = m.end
-        else:
-            words.append(vocab.token(sentence.tokens[i]))
-            i += 1
-    return " ".join(words)
-
-
 @dataclass(frozen=True)
 class Occurrence:
     tokens: tuple  # mention span collapsed to a single [MASK]
     mask_pos: int
 
 
-def index_occurrences(entity_ids, sentences, cap=256):
+def index_occurrences(entity_ids, sentences, cap=OCCURRENCE_CAP):
     """First-encounter, deduplicated, capped masked occurrences per entity.
 
     One pass over ``sentences`` indexes every requested entity; returns a
@@ -351,8 +331,7 @@ def _build_entities(config, rng):
     """Syllable pairs with bounded reuse so the bag of pieces stays
     discriminative; an aggregated output representation can only carry the
     bag, not the order."""
-    g = config.grammar
-    shared = list(g.shared_syllables)
+    shared = list(_SHARED_SYLLABLES)
     pairs = [(a, b) for a in shared for b in shared if a != b]
     if len(pairs) < config.n_entities:
         raise ConfigError("syllable pool too small for the requested entity count")
@@ -436,9 +415,9 @@ def _render(template, entity, answer, deco, form="plain", nonce=None):
     return " ".join(text.split())
 
 
-def _nonce_pool(grammar, catalog_surfaces, rng, count=40):
+def _nonce_pool(catalog_surfaces, rng, count=40):
     """Syllable pairs that name no catalog entity, for the noise form."""
-    shared = list(grammar.shared_syllables)
+    shared = list(_SHARED_SYLLABLES)
     pairs = ["".join((a, b)) for a in shared for b in shared
              if a != b and "".join((a, b)) not in catalog_surfaces]
     order = rng.permutation(len(pairs))
@@ -455,28 +434,27 @@ class CorpusBundle:
     queries: list
 
     def save(self, outdir):
-        import os
         os.makedirs(outdir, exist_ok=True)
-        from pelt.cloze import save_cloze
-        with open(os.path.join(outdir, "train.txt"), "w", encoding="utf-8") as f:
+        path = {key: os.path.join(outdir, name) for key, name in DATA_FILES.items()}
+        with open(path["train"], "w", encoding="utf-8") as f:
             f.write("".join(line + "\n" for line in self.train_lines))
-        with open(os.path.join(outdir, "lookup.txt"), "w", encoding="utf-8") as f:
+        with open(path["lookup"], "w", encoding="utf-8") as f:
             f.write("".join(line + "\n" for line in self.lookup_lines))
-        self.vocab.save(os.path.join(outdir, "vocab.txt"))
-        self.catalog.save(os.path.join(outdir, "catalog.tsv"))
-        save_cloze(self.queries, os.path.join(outdir, "cloze.tsv"))
+        self.vocab.save(path["vocab"])
+        self.catalog.save(path["catalog"])
+        save_cloze(self.queries, path["cloze"])
 
 
-def _grammar_words(grammar):
+def _grammar_words(relations):
     words = {"someone"}
-    words |= set(grammar.shared_syllables)
-    for rel in grammar.relations:
+    words |= set(_SHARED_SYLLABLES)
+    for rel in relations:
         words.update(rel.answers)
         for tmpl in rel.templates:
             for w in tmpl.split():
                 if w not in ("{s}", "{a}", "{d}"):
                     words.add(w)
-    for deco in grammar.decorations:
+    for deco in _DECORATIONS:
         words.update(deco.split())
     words.discard("(")
     words.discard(")")
@@ -485,13 +463,12 @@ def _grammar_words(grammar):
 
 def generate_corpus(config):
     """Deterministic function of the config (seed included)."""
-    g = config.grammar
     rng = np.random.default_rng(config.seed)
-    vocab = Vocabulary.from_words(_grammar_words(g))
+    relations = default_relations()
+    vocab = Vocabulary.from_words(_grammar_words(relations))
 
     freqs = zipf_frequencies(config)
     surfaces = _build_entities(config, rng)
-    relations = g.relations
     n_tmpl = min(len(r.templates) for r in relations)
 
     for rel in relations:
@@ -513,11 +490,11 @@ def generate_corpus(config):
                                   freqs[i], probe_rel, probe_tmpl))
     catalog = EntityCatalog(entries)
 
-    decos = list(g.decorations)
+    decos = list(_DECORATIONS)
     nd = len(decos)
     rel_by_name = {r.name: r for r in relations}
 
-    nonces = _nonce_pool(g, {e.surface for e in catalog}, rng)
+    nonces = _nonce_pool({e.surface for e in catalog}, rng)
     train_lines = []
     lookup_lines = []
     for i, ent in enumerate(catalog):

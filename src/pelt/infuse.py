@@ -10,7 +10,6 @@ arrive verified against the checkpoint (see load_table and run_probe).
 
 import numpy as np
 
-from pelt.errors import ContractError
 from pelt.model import predict_topk
 from pelt.vocab import LBRACKET_ID, RBRACKET_ID
 
@@ -38,25 +37,6 @@ def augment(sentence, table):
         provenance[i] = len(slots)
         slots.append(tokens[i])
     return slots, provenance
-
-
-def strip(slots):
-    """Remove every inserted ( vector ) triple; recovers the original tokens."""
-    out = []
-    i = 0
-    while i < len(slots):
-        s = slots[i]
-        if (isinstance(s, int) and s == LBRACKET_ID
-                and i + 2 < len(slots)
-                and isinstance(slots[i + 1], np.ndarray)
-                and isinstance(slots[i + 2], int) and slots[i + 2] == RBRACKET_ID):
-            i += 3
-            continue
-        if isinstance(s, np.ndarray):
-            raise ContractError("dangling vector slot outside a bracket triple")
-        out.append(s)
-        i += 1
-    return tuple(out)
 
 
 def cloze_predict_infused(sentence, mask_pos, table, ckpt, k, candidates=None):

@@ -16,9 +16,9 @@ Page graph file: line-oriented records
 import re
 from dataclasses import dataclass, field
 
+from pelt.corpus import MENTION_RE
 from pelt.errors import ConfigError, FormatError
 
-ANCHOR_RE = re.compile(r"\[\[([^|\]]+)\|([^\]]+)\]\]")
 CANDIDATE_RE = re.compile(r"\{\{([^}]+)\}\}")
 
 
@@ -99,7 +99,7 @@ def load_page_graph(path):
                     raise FormatError(f"{path}:{lineno}: DOC needs id and text")
                 text = "\t".join(parts[2:])
                 anchors = tuple(Anchor(m.group(1), m.group(2))
-                                for m in ANCHOR_RE.finditer(text))
+                                for m in MENTION_RE.finditer(text))
                 candidates = tuple(Candidate(i, m.group(1))
                                    for i, m in enumerate(CANDIDATE_RE.finditer(text)))
                 docs.append(Document(parts[1], anchors, candidates))
@@ -115,26 +115,6 @@ def build_alias_table(pages):
         for alias in page.aliases:
             table.setdefault(alias, set()).add(page.page_id)
     return table
-
-
-@dataclass(frozen=True)
-class SimpleLink:
-    status: str  # "unique" | "ambiguous" | "none"
-    pages: tuple
-
-    @property
-    def page_id(self):
-        return self.pages[0] if self.status == "unique" else None
-
-
-def link_simple(name, alias_table):
-    """Exact normalized-alias lookup."""
-    hits = sorted(alias_table.get(normalize_alias(name), ()))
-    if len(hits) == 1:
-        return SimpleLink("unique", tuple(hits))
-    if hits:
-        return SimpleLink("ambiguous", tuple(hits))
-    return SimpleLink("none", ())
 
 
 @dataclass(frozen=True)

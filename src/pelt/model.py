@@ -276,7 +276,7 @@ def _mask_batch(seqs, picks, rng, mask_rate):
 
 
 def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
-              batch_size=32, log_every=100, log=print):
+              batch_size=32, log_every=100):
     """Train from scratch; deterministic for a fixed (seed, thread count)."""
     if not sentences:
         raise ContractError("train corpus is empty")
@@ -306,8 +306,8 @@ def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
         recent.append(last)
         if log_every and (step + 1) % log_every == 0:
             mean = sum(recent) / len(recent)
-            log(f"step {step + 1:>6}/{steps}  loss {mean:7.4f}  "
-                f"lr {_lr_schedule(lr, step, steps):.2e}  {time.time() - t0:6.1f}s")
+            print(f"step {step + 1:>6}/{steps}  loss {mean:7.4f}  "
+                  f"lr {_lr_schedule(lr, step, steps):.2e}  {time.time() - t0:6.1f}s")
             recent = []
     return Checkpoint(config, params, steps, seed, last)
 

@@ -4,15 +4,16 @@ import numpy as np
 
 from pelt.errors import ContractError
 
+_BETA1, _BETA2 = 0.9, 0.999
+_EPSILON = 1e-8
+
 
 class Adam:
     """Standard Adam with bias correction; moment state kept per parameter."""
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), epsilon=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.epsilon = epsilon
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -24,7 +25,7 @@ class Adam:
             if p.grad is None:
                 raise ContractError(f"adam step: parameter {name!r} has no gradient")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -35,7 +36,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            update = (m / bc1) / (np.sqrt(v / bc2) + _EPSILON)
             p.data -= lr * update
         return self.params
 

@@ -4,7 +4,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from pelt.checkpoint import fingerprint
-from pelt.corpus import BUCKET_LABELS, bucket_label, parse_marked_line
+from pelt.corpus import BUCKET_LABELS, OCCURRENCE_CAP, bucket_label, parse_marked_line
 from pelt.errors import ContractError
 from pelt.infuse import cloze_predict_infused
 from pelt.model import predict_topk
@@ -56,8 +56,8 @@ class ProbeReport:
         lines.append(f"{'micro mean':<12} {self.micro_p1:7.3f} {self.query_count():5d}")
         lines.append(f"{'bucket':<12} {'P@1':>7} {'n':>5}")
         for label in BUCKET_LABELS:
-            c, t = self.per_bucket.get(label, (0, 0))
-            lines.append(f"{label:<12} {c / t if t else 0.0:7.3f} {t:5d}")
+            t = self.per_bucket.get(label, (0, 0))[1]
+            lines.append(f"{label:<12} {self.bucket_p1(label):7.3f} {t:5d}")
         return "\n".join(lines)
 
     def render_tsv(self):
@@ -72,8 +72,8 @@ class ProbeReport:
         rows.append(f"mean\tmacro\t{self.macro_p1:.6f}\t{self.query_count()}")
         rows.append(f"mean\tmicro\t{self.micro_p1:.6f}\t{self.query_count()}")
         for label in BUCKET_LABELS:
-            c, t = self.per_bucket.get(label, (0, 0))
-            rows.append(f"bucket\t{label}\t{c / t if t else 0.0:.6f}\t{t}")
+            t = self.per_bucket.get(label, (0, 0))[1]
+            rows.append(f"bucket\t{label}\t{self.bucket_p1(label):.6f}\t{t}")
         return "\n".join(rows)
 
 
@@ -153,7 +153,7 @@ class SweepResult:
 
 
 def sweep_norm(queries, vocab, ckpt, lookup_sentences, entity_ids, l_values,
-               cap=256, restrict=False, catalog=None):
+               cap=OCCURRENCE_CAP, restrict=False, catalog=None):
     """Probe one table per L; directions are collected once and rescaled.
 
     Ties in mean P@1 break toward the smaller L.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pelt.checkpoint import _Reader, fingerprint
-from pelt.corpus import index_occurrences
+from pelt.corpus import OCCURRENCE_CAP, index_occurrences
 from pelt.errors import (ConfigError, ContractError, DegenerateDirectionError,
                          FingerprintError, FormatError, NoOccurrencesError)
 from pelt.model import masked_outputs
@@ -80,12 +80,6 @@ def sum_direction(r_vectors):
     return s / norm
 
 
-def build_embedding(r_vectors, norm_l):
-    """Constant-norm entity embedding: L times the unit direction of the sum."""
-    check_norm_l(norm_l)
-    return norm_l * sum_direction(r_vectors)
-
-
 @dataclass
 class DirectionSet:
     """Per-entity unit directions; rescaling them is how the norm sweep
@@ -96,7 +90,7 @@ class DirectionSet:
     skipped: list  # entity ids with no occurrences
 
 
-def collect_directions(entity_ids, sentences, ckpt, cap=256):
+def collect_directions(entity_ids, sentences, ckpt, cap=OCCURRENCE_CAP):
     """Index every entity in one pass, encode every occurrence in one sorted
     pass, then sum each entity's masked outputs."""
     indexed = index_occurrences(sorted(set(entity_ids)), sentences, cap=cap)
@@ -111,6 +105,7 @@ def collect_directions(entity_ids, sentences, ckpt, cap=256):
 
 
 def table_from_directions(dirset, norm_l):
+    """Each entry is L times its entity's unit direction, stored as float32."""
     check_norm_l(norm_l)
     entries = {}
     for eid in sorted(dirset.directions):
@@ -120,8 +115,9 @@ def table_from_directions(dirset, norm_l):
     return EntityEmbeddingTable(dirset.fingerprint, dirset.dim, float(norm_l), entries)
 
 
-def build_table(entity_ids, sentences, ckpt, norm_l, cap=256):
-    """Index, collect, aggregate; returns (table, skipped entity ids)."""
+def build_table(entity_ids, sentences, ckpt, norm_l, cap=OCCURRENCE_CAP):
+    """Check L, index, collect, aggregate; returns (table, skipped entity ids)."""
+    check_norm_l(norm_l)
     dirset = collect_directions(entity_ids, sentences, ckpt, cap=cap)
     table = table_from_directions(dirset, norm_l)
     if not table.entries:
@@ -129,13 +125,12 @@ def build_table(entity_ids, sentences, ckpt, norm_l, cap=256):
     return table, dirset.skipped
 
 
-def empty_table(ckpt, norm_l=1.0):
-    return EntityEmbeddingTable(fingerprint(ckpt), ckpt.config.dim, float(norm_l), {})
-
-
 # ---------------------------------------------------------------------------
 # Analytic oracle for the loss-decomposition claim
 # ---------------------------------------------------------------------------
+
+_PROBE_POINTS = 3  # random embeddings at which the surrogate gradient is checked
+
 
 @dataclass(frozen=True)
 class DirectionOracleReport:
@@ -145,7 +140,7 @@ class DirectionOracleReport:
     occurrence_count: int
 
 
-def surrogate_gradient_deviation(r_vectors, emb_rows, probe_points=3, seed=0):
+def surrogate_gradient_deviation(r_vectors, emb_rows, seed=0):
     """Max |grad + sum(r)| of the frozen-partition loss over random points.
 
     With the partition function frozen (the new entity excluded from it) the
@@ -163,7 +158,7 @@ def surrogate_gradient_deviation(r_vectors, emb_rows, probe_points=3, seed=0):
     log_z = logsumexp(emb @ r.T, axis=0)  # (m,) constants: entity excluded
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(probe_points):
+    for _ in range(_PROBE_POINTS):
         point = Tensor(rng.normal(0.0, 1.0, r.shape[1]), requires_grad=True)
         loss = None
         for i in range(r.shape[0]):

@@ -37,8 +37,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in _ALLOWED:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -67,9 +67,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Accumulate gradients of this scalar into every reachable input."""
@@ -321,18 +318,15 @@ def layer_norm(x, gain, bias, epsilon):
 
 
 def softmax_cross_entropy(logits, target):
-    """Mean negative log-softmax probability of the target token(s).
+    """Mean negative log-softmax probability of the target tokens.
 
-    Accepts a single row (V,) with an integer target or a batch (N, V) with
-    an integer vector; the gradient is (softmax - one_hot) / N.
+    Takes a batch (N, V) of logits and an integer vector of N targets; the
+    gradient is (softmax - one_hot) / N.
     """
-    squeeze = logits.ndim == 1
-    lg = logits.data.reshape(1, -1) if squeeze else logits.data
+    lg = logits.data
     if lg.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy: logits must be 1-D or 2-D, got {logits.shape}")
+        raise ShapeError(f"softmax_cross_entropy: logits must be 2-D, got {logits.shape}")
     tg = np.atleast_1d(np.asarray(target, dtype=np.int64))
-    if squeeze and tg.size != 1:
-        raise ShapeError("softmax_cross_entropy: one row of logits but several targets")
     if tg.size != lg.shape[0]:
         raise ShapeError(
             f"softmax_cross_entropy: {lg.shape[0]} rows of logits but {tg.size} targets"
@@ -353,8 +347,7 @@ def softmax_cross_entropy(logits, target):
             sm = np.exp(shifted)
             sm /= sm.sum(axis=1, keepdims=True)
             sm[rows, tg] -= 1.0
-            grad = (float(g) / n) * sm
-            _accum(logits, grad.reshape(logits.data.shape))
+            _accum(logits, (float(g) / n) * sm)
 
     return _result(data, (logits,), backward)
 
@@ -365,19 +358,16 @@ class ParamStore:
     def __init__(self):
         self._params = {}
 
-    def add(self, name, data, dtype=None):
+    def add(self, name, data):
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = data if isinstance(data, Tensor) else Tensor(data, dtype=dtype)
+        t = data if isinstance(data, Tensor) else Tensor(data)
         t.requires_grad = True
         self._params[name] = t
         return t
 
     def __getitem__(self, name):
         return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
 
     def __len__(self):
         return len(self._params)
@@ -387,9 +377,6 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
-
-    def tensors(self):
-        return self._params.values()
 
     def zero_grad(self):
         for t in self._params.values():

@@ -37,9 +37,6 @@ class Vocabulary:
     def id(self, tok):
         return self.index[tok]
 
-    def token(self, i):
-        return self.tokens[i]
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
             for tok in self.tokens:

@@ -24,8 +24,8 @@ from pelt.model import ModelConfig, encode, mlm_loss, output_repr, train_mlm
 from pelt.probe import run_probe, sweep_norm
 from pelt.synth import (synthetic_checkpoint, synthetic_mlm_batch,
                         synthetic_occurrences)
-from pelt.table import (build_embedding, build_table, empty_table,
-                        gradient_direction_oracle, load_table, save_table,
+from pelt.table import (DirectionSet, build_table, gradient_direction_oracle,
+                        load_table, save_table, sum_direction,
                         table_from_directions)
 from pelt.tensor import Tensor, layer_norm
 from pelt.vocab import MASK_ID
@@ -135,14 +135,18 @@ def test_criterion_04_direction_oracle():
 
 
 def test_criterion_05_embedding_construction():
-    hand = build_embedding(np.array([[3.0, 0.0], [0.0, 4.0]]), 10.0)
+    def stored(r, norm_l):
+        dirset = DirectionSet(bytes(32), r.shape[1], {"e": (sum_direction(r), len(r))}, [])
+        return table_from_directions(dirset, norm_l).vector("e").astype(np.float64)
+
+    hand = stored(np.array([[3.0, 0.0], [0.0, 4.0]]), 10.0)
     hand_dev = np.abs(hand - np.array([6.0, 8.0])).max()
     rng = np.random.default_rng(6)
     r = rng.normal(size=(9, 16))
-    base = build_embedding(r, 5.0)
-    c_dev = max(float(np.abs(build_embedding(c * r, 5.0) - base).max())
+    base = 5.0 * sum_direction(r)
+    c_dev = max(float(np.abs(5.0 * sum_direction(c * r) - base).max())
                 for c in (1e-3, 0.7, 42.0))
-    norm_dev = abs(np.linalg.norm(base) - 5.0) / 5.0
+    norm_dev = abs(np.linalg.norm(stored(r, 5.0)) - 5.0) / 5.0
     report(5, hand_dev < 1e-6 and c_dev < 1e-9 and norm_dev < 1e-5,
            f"hand example dev {hand_dev:.2e} (< 1e-6), C invariance dev "
            f"{c_dev:.2e}, norm dev {norm_dev:.2e} (< 1e-5 relative)")
@@ -165,8 +169,10 @@ def test_criterion_06_rare_entity_experiment(flagship):
         details.append(f"seed {seed}: rare +{rare_gain * 100:.0f}pts "
                        f"(freq {freq_gain * 100:+.0f}pts, "
                        f"train {run['train_seconds']:.0f}s, rare n={rare_pop})")
-        empty = run_probe(bundle.queries, bundle.vocab, run["ckpt"],
-                          table=empty_table(run["ckpt"]))
+        with pytest.warns(UserWarning, match="empty"):
+            empty_table, _ = build_table(["absent"], run["lookup"], run["ckpt"],
+                                         run["sweep"].selected_l)
+        empty = run_probe(bundle.queries, bundle.vocab, run["ckpt"], table=empty_table)
         ok = ok and empty.per_relation == run["vanilla"].per_relation \
             and empty.outcomes == run["vanilla"].outcomes
     ok = ok and rare_beats_freq >= 2

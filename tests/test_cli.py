@@ -326,9 +326,12 @@ class TestUsageAndConfig:
     @pytest.mark.parametrize("argv", [["gradcheck", "--h", "0"],
                                       ["gradcheck", "--samples", "-1"],
                                       ["oracle", "--small-vocab", "-1"],
-                                      ["oracle", "--small-vocab", "0"]])
+                                      ["oracle", "--small-vocab", "0"],
+                                      ["gradcheck", "--vocab", "5"],
+                                      ["oracle", "--vocab", "4"],
+                                      ["oracle", "--vocab", "5"]])
     def test_out_of_range_diagnostic_value_exits_1(self, capsys, argv):
-        assert main(argv + ["--dim", "8", "--vocab", "16"]) == 1
+        assert main(argv[:1] + ["--dim", "8", "--vocab", "16"] + argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
 

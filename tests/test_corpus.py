@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from pelt.corpus import (BUCKET_LABELS, CorpusConfig, EntityCatalog, Mention,
+from pelt.corpus import (BUCKET_LABELS, MENTION_RE, CorpusConfig, EntityCatalog, Mention,
                          Sentence, bucket_label, generate_corpus,
                          index_occurrences, parse_corpus, parse_marked_line,
-                         render_sentence, strip_markup, zipf_frequencies)
+                         strip_markup, zipf_frequencies)
 from pelt.errors import ConfigError, ContractError
 from pelt.vocab import MASK_ID, UNK_ID, Vocabulary, tokenize
 
@@ -27,7 +27,7 @@ class TestVocabulary:
     def test_bijective(self, bundle):
         v = bundle.vocab
         for i, tok in enumerate(v.tokens):
-            assert v.id(tok) == i and v.token(i) == tok
+            assert v.id(tok) == i and v.tokens[i] == tok
 
     def test_save_load_round_trip(self, bundle, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -166,11 +166,13 @@ class TestGeneration:
                             + item.tokens[item.mask_pos + 1:])
                 assert restored in source
 
-    def test_render_sentence_round_trips_mentions(self, bundle):
-        entity = bundle.catalog.entries[0]
-        line = f"[[{entity.entity_id}|{entity.surface}]] lives in paris"
-        s = parse_marked_line(line, bundle.vocab)
-        assert render_sentence(s, bundle.vocab) == strip_markup(line)
+    def test_mention_spans_hold_their_surface_tokens(self, bundle):
+        for line in bundle.train_lines[:40]:
+            s = parse_marked_line(line, bundle.vocab)
+            marked = MENTION_RE.findall(line)
+            assert [m.entity_id for m in s.mentions] == [eid for eid, _ in marked]
+            for m, (_, surface) in zip(s.mentions, marked):
+                assert list(s.tokens[m.start:m.end]) == tokenize(surface, bundle.vocab)
 
 
 class TestIndexOccurrences:

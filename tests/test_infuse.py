@@ -7,10 +7,10 @@ import pytest
 from pelt.corpus import (CorpusConfig, Mention, Sentence, generate_corpus,
                          parse_corpus, parse_marked_line)
 from pelt.errors import ConfigError, ContractError, LengthError
-from pelt.infuse import augment, cloze_predict_infused, strip
+from pelt.infuse import augment, cloze_predict_infused
 from pelt.model import encode, predict_topk
 from pelt.synth import synthetic_checkpoint
-from pelt.table import build_table, empty_table
+from pelt.table import build_table
 from pelt.vocab import LBRACKET_ID, MASK_ID, RBRACKET_ID
 
 
@@ -64,11 +64,23 @@ class TestAugment:
         assert sum(isinstance(slot, np.ndarray) for slot in slots) == 1
 
     def test_round_trip_strip(self, world):
+        # each original token sits at its provenance index; every other slot
+        # belongs to a ( vector ) triple right after a table-known mention
         bundle, ckpt, table = world
+        triples = 0
         for line in bundle.lookup_lines[:40]:
             s = parse_marked_line(line, bundle.vocab)
-            slots, _ = augment(s, table)
-            assert strip(slots) == s.tokens
+            slots, provenance = augment(s, table)
+            assert [slots[p] for p in provenance] == list(s.tokens)
+            known = [m for m in s.mentions if m.entity_id in table]
+            after = [int(provenance[m.end - 1]) + 1 for m in known]
+            assert len(slots) == len(s.tokens) + 3 * len(known)
+            assert not {at + k for at in after for k in range(3)} & set(provenance.tolist())
+            for m, at in zip(known, after):
+                assert slots[at] == LBRACKET_ID and slots[at + 2] == RBRACKET_ID
+                npt.assert_array_equal(slots[at + 1], table.vector(m.entity_id))
+            triples += len(known)
+        assert triples > 0
 
     def test_position_contiguity_and_provenance(self, world):
         bundle, ckpt, table = world
@@ -148,7 +160,9 @@ class TestEncodeAugmented:
 class TestClozePredictInfused:
     def test_empty_table_equals_vanilla_exactly(self, world):
         bundle, ckpt, _ = world
-        table = empty_table(ckpt)
+        lookup = parse_corpus(bundle.lookup_lines, bundle.vocab)
+        with pytest.warns(UserWarning, match="empty"):
+            table, _ = build_table(["ent_404"], lookup, ckpt, 4.0)
         for entity in bundle.catalog.entries[:5]:
             s = _query_sentence(bundle, entity)
             pos = s.tokens.index(MASK_ID)
@@ -181,7 +195,3 @@ class TestClozePredictInfused:
         s = _query_sentence(bundle, entity)
         with pytest.raises(ContractError):
             cloze_predict_infused(s, 0, table, ckpt, 3)
-
-    def test_dangling_vector_slot_rejected_by_strip(self, world):
-        with pytest.raises(ContractError):
-            strip([5, np.zeros(4), 6])

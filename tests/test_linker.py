@@ -1,4 +1,4 @@
-"""Alias table, simple matching, and iterative disambiguation."""
+"""Alias table and iterative disambiguation."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from pelt.linker import (Anchor, Candidate, Document, Page, PageGraph,
                          build_alias_table, link_document_rows, link_iterate,
-                         link_simple, load_page_graph, normalize_alias)
+                         load_page_graph, normalize_alias)
 
 
 def toy_graph_path():
@@ -46,20 +46,24 @@ class TestAliasTable:
 
 
 class TestLinkSimple:
+    """One round of link_iterate's normalized alias match against the
+    anchor's neighbors: a unique, an ambiguous and an unknown name."""
+
     def test_unique(self):
-        table = build_alias_table(mini_graph().pages)
-        result = link_simple("Alpha", table)
-        assert result.status == "unique" and result.page_id == "A"
+        doc = Document("d", (Anchor("B", "beta"),), (Candidate(0, " ALPHA "),))
+        result = link_iterate(doc, mini_graph())
+        assert result.assigned == {Candidate(0, " ALPHA "): ("A", 1)}
 
     def test_ambiguous(self):
-        table = build_alias_table(mini_graph().pages)
-        result = link_simple("b", table)
-        assert result.status == "ambiguous" and result.pages == ("B", "C")
-        assert result.page_id is None
+        doc = Document("d", (Anchor("A", "alpha"),), (Candidate(0, "B"),))
+        result = link_iterate(doc, mini_graph())
+        assert build_alias_table(mini_graph().pages)["b"] <= result.trace[0].expanded
+        assert result.assigned == {} and result.unresolved == [Candidate(0, "B")]
 
     def test_none(self):
-        table = build_alias_table(mini_graph().pages)
-        assert link_simple("omega", table).status == "none"
+        doc = Document("d", (Anchor("A", "alpha"),), (Candidate(0, "omega"),))
+        result = link_iterate(doc, mini_graph())
+        assert result.assigned == {} and result.unresolved == [Candidate(0, "omega")]
 
 
 class TestLinkIterate:

@@ -11,7 +11,7 @@ from pelt.corpus import BUCKET_LABELS, CorpusConfig, generate_corpus, parse_corp
 from pelt.errors import ConfigError, ContractError, FingerprintError
 from pelt.probe import run_probe, sweep_norm
 from pelt.synth import synthetic_checkpoint
-from pelt.table import build_table, empty_table, table_from_directions
+from pelt.table import build_table, table_from_directions
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +46,11 @@ class TestRunProbe:
         assert report.macro_p1 == 1.0 and report.micro_p1 == 1.0
 
     def test_vanilla_and_empty_table_reports_identical(self, world):
-        bundle, ckpt, _ = world
+        bundle, ckpt, lookup = world
+        with pytest.warns(UserWarning, match="empty"):
+            table, _ = build_table(["ent_404"], lookup, ckpt, 1.0)
         vanilla = run_probe(bundle.queries, bundle.vocab, ckpt)
-        infused = run_probe(bundle.queries, bundle.vocab, ckpt,
-                            table=empty_table(ckpt))
+        infused = run_probe(bundle.queries, bundle.vocab, ckpt, table=table)
         assert vanilla.per_relation == infused.per_relation
         assert vanilla.per_bucket == infused.per_bucket
         assert vanilla.outcomes == infused.outcomes

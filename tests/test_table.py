@@ -11,8 +11,8 @@ from pelt.corpus import CorpusConfig, generate_corpus, index_occurrences, parse_
 from pelt.errors import (ConfigError, DegenerateDirectionError,
                          FingerprintError, FormatError, NoOccurrencesError)
 from pelt.synth import synthetic_checkpoint, synthetic_occurrences
-from pelt.table import (EntityEmbeddingTable, build_embedding, build_table,
-                        collect_directions, empty_table, full_step_cosine,
+from pelt.table import (DirectionSet, EntityEmbeddingTable, build_table,
+                        collect_directions, full_step_cosine,
                         gradient_direction_oracle, load_table, save_table,
                         serialize_table, sum_direction,
                         surrogate_gradient_deviation, table_from_directions,
@@ -31,45 +31,60 @@ def setup():
     return bundle, ckpt, lookup
 
 
+def _directions(r):
+    """A one-entity DirectionSet holding the summed direction of ``r``."""
+    r = np.asarray(r, dtype=np.float64)
+    return DirectionSet(bytes(32), r.shape[1], {"e": (sum_direction(r), len(r))}, [])
+
+
+def _empty_table(lookup, ckpt, norm_l=1.0):
+    """The table build_table returns when no requested entity occurs."""
+    with pytest.warns(UserWarning, match="empty"):
+        return build_table(["ent_404"], lookup, ckpt, norm_l)[0]
+
+
 class TestBuildEmbedding:
+    """An entry is L times the unit direction of the summed vectors."""
+
     def test_hand_example(self):
-        out = build_embedding(np.array([[3.0, 0.0], [0.0, 4.0]]), 10.0)
-        npt.assert_allclose(out, [6.0, 8.0], atol=1e-6)
+        table = table_from_directions(_directions([[3.0, 0.0], [0.0, 4.0]]), 10.0)
+        npt.assert_allclose(table.vector("e"), [6.0, 8.0], atol=1e-6)
 
     def test_single_vector_identity_at_own_norm(self):
         r = np.array([[1.0, 2.0, 2.0]])
-        out = build_embedding(r, float(np.linalg.norm(r[0])))
+        out = float(np.linalg.norm(r[0])) * sum_direction(r)
         npt.assert_allclose(out, r[0], atol=1e-9)
 
     def test_opposite_vectors_degenerate(self):
         v = np.array([1.0, -2.0, 0.5])
         with pytest.raises(DegenerateDirectionError):
-            build_embedding(np.stack([v, -v]), 5.0)
+            sum_direction(np.stack([v, -v]))
 
     def test_scaling_factor_never_matters(self):
         rng = np.random.default_rng(0)
         r = rng.normal(size=(7, 12))
-        base = build_embedding(r, 4.0)
+        base = 4.0 * sum_direction(r)
         for c in (1e-3, 0.5, 3.0, 1e4):
-            npt.assert_allclose(build_embedding(c * r, 4.0), base, atol=1e-9)
+            npt.assert_allclose(4.0 * sum_direction(c * r), base, atol=1e-9)
 
     def test_norm_invariant(self):
         rng = np.random.default_rng(1)
         for l in (1.0, 2.5, 7.0):
-            out = build_embedding(rng.normal(size=(5, 9)), l)
-            assert abs(np.linalg.norm(out) - l) / l < 1e-5
+            out = table_from_directions(_directions(rng.normal(size=(5, 9))), l).vector("e")
+            assert out.dtype == np.float32
+            assert abs(np.linalg.norm(out.astype(np.float64)) - l) / l < 1e-5
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         r = rng.normal(size=(64, 16))
-        base = build_embedding(r, 3.0)
-        shuffled = build_embedding(r[rng.permutation(64)], 3.0)
+        base = 3.0 * sum_direction(r)
+        shuffled = 3.0 * sum_direction(r[rng.permutation(64)])
         npt.assert_allclose(shuffled, base, atol=1e-12)
 
     def test_nonpositive_norm_rejected(self):
         for l in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError, match="finite and positive"):
-                build_embedding(np.ones((1, 3)), l)
+                table_from_directions(_directions(np.ones((1, 3))), l)
 
 
 def _one_by_one(ckpt, occurrences):
@@ -130,6 +145,15 @@ class TestBuildTable:
         with pytest.warns(UserWarning, match="empty"):
             table, skipped = build_table(["ent_404"], lookup, ckpt, 2.0)
         assert len(table) == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_l_rejected_before_collecting(self, setup, monkeypatch, value):
+        bundle, ckpt, lookup = setup
+        calls = []
+        monkeypatch.setattr("pelt.table.masked_outputs", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match="finite and positive"):
+            build_table(bundle.catalog.ids(), lookup, ckpt, value)
+        assert calls == []
 
     def test_directions_reused_across_l(self, setup):
         bundle, ckpt, lookup = setup
@@ -202,17 +226,17 @@ class TestTableIO:
         assert fingerprint(other).hex() in str(err.value)
 
     def test_empty_table_round_trip(self, setup, tmp_path):
-        bundle, ckpt, _ = setup
-        table = empty_table(ckpt, 5.0)
+        bundle, ckpt, lookup = setup
+        table = _empty_table(lookup, ckpt, 5.0)
         path = tmp_path / "empty.bin"
         save_table(table, path)
         loaded = load_table(path, ckpt)
         assert len(loaded) == 0 and loaded.norm_l == 5.0
 
     def test_bad_magic_rejected(self, setup, tmp_path):
-        bundle, ckpt, _ = setup
+        bundle, ckpt, lookup = setup
         path = tmp_path / "bad.bin"
-        raw = bytearray(serialize_table(empty_table(ckpt)))
+        raw = bytearray(serialize_table(_empty_table(lookup, ckpt)))
         raw[:8] = b"XXXXXXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
@@ -266,9 +290,9 @@ class TestTableIO:
             load_table(path, ckpt)
 
     def test_failed_save_keeps_previous_file(self, setup, tmp_path):
-        bundle, ckpt, _ = setup
+        bundle, ckpt, lookup = setup
         path = tmp_path / "t.bin"
-        save_table(empty_table(ckpt), path)
+        save_table(_empty_table(lookup, ckpt), path)
         before = path.read_bytes()
         bad = EntityEmbeddingTable(fingerprint(ckpt)[:31], ckpt.config.dim, 1.0, {})
         with pytest.raises(FormatError):

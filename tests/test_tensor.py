@@ -136,27 +136,27 @@ class TestLayerNorm:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_way(self):
-        loss = softmax_cross_entropy(t64([0.0, 0.0]), 0)
+        loss = softmax_cross_entropy(t64([[0.0, 0.0]]), [0])
         assert abs(loss.item() - np.log(2.0)) < 1e-12
 
     def test_confident_logit(self):
-        loss = softmax_cross_entropy(t64([10.0, 0.0, 0.0]), 0)
+        loss = softmax_cross_entropy(t64([[10.0, 0.0, 0.0]]), [0])
         expected = -np.log(np.exp(10.0) / (np.exp(10.0) + 2.0))
         assert abs(loss.item() - expected) < 1e-12
         assert abs(loss.item() - 9.08e-5) < 1e-7
 
     def test_gradient_sums_to_zero(self):
-        logits = t64([1.0, -2.0, 0.5, 3.0], grad=True)
-        softmax_cross_entropy(logits, 2).backward()
+        logits = t64([[1.0, -2.0, 0.5, 3.0]], grad=True)
+        softmax_cross_entropy(logits, [2]).backward()
         assert abs(logits.grad.sum()) < 1e-14
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError, match="out of range"):
-            softmax_cross_entropy(t64([0.0, 0.0]), 2)
+            softmax_cross_entropy(t64([[0.0, 0.0]]), [2])
 
     def test_batch_mean(self):
-        one = softmax_cross_entropy(t64([1.0, 2.0]), 1).item()
-        two = softmax_cross_entropy(t64([3.0, -1.0]), 0).item()
+        one = softmax_cross_entropy(t64([[1.0, 2.0]]), [1]).item()
+        two = softmax_cross_entropy(t64([[3.0, -1.0]]), [0]).item()
         both = softmax_cross_entropy(t64([[1.0, 2.0], [3.0, -1.0]]), [1, 0]).item()
         assert abs(both - (one + two) / 2) < 1e-12
 
