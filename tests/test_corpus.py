@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from pelt.corpus import (BUCKET_LABELS, MENTION_RE, CorpusConfig, EntityCatalog, Mention,
-                         Sentence, bucket_label, generate_corpus,
+from pelt.corpus import (BUCKET_LABELS, MENTION_RE, CorpusConfig, EntityCatalog,
+                         Mention, Sentence, bucket_label, generate_corpus,
                          index_occurrences, parse_corpus, parse_marked_line,
                          strip_markup, zipf_frequencies)
 from pelt.errors import ConfigError, ContractError

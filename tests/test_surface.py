@@ -15,7 +15,7 @@ def _references(tree):
     out = set()
 
     def walk(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
         name = getattr(node, "id", None) or getattr(node, "attr", None)
         if isinstance(node, (ast.Name, ast.Attribute)) and name not in inside:
