@@ -146,11 +146,13 @@ def _cmd_probe(args):
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
     data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze"))
     table = table_mod.load_table(args.table, ckpt) if args.table else None
+    pools = (probe_mod.candidate_pools(data["catalog"], data["vocab"])
+             if args.restrict else None)
     _provenance(ckpt.train_seed,
                 ckpt=ckpt_io.fingerprint(ckpt).hex()[:16],
                 table=(table.fingerprint.hex()[:16] if table else "none"))
     report = probe_mod.run_probe(data["cloze"], data["vocab"], ckpt, table=table,
-                                 restrict=args.restrict, catalog=data["catalog"])
+                                 pools=pools)
     print(report.render_text())
     _write_tsv(args.tsv, report.render_tsv())
     if args.strict and report.rejected:
@@ -180,10 +182,12 @@ def _cmd_sweep(args):
     data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze", "lookup"))
     sentences = corpus_mod.parse_corpus(data["lookup"], data["vocab"])
     l_values = _parse_l_values(args.l)
+    pools = (probe_mod.candidate_pools(data["catalog"], data["vocab"])
+             if args.restrict else None)
     _provenance(ckpt.train_seed, ckpt=ckpt_io.fingerprint(ckpt).hex()[:16])
     result = probe_mod.sweep_norm(
         data["cloze"], data["vocab"], ckpt, sentences, data["catalog"].ids(),
-        l_values, cap=args.cap, restrict=args.restrict, catalog=data["catalog"])
+        l_values, cap=args.cap, pools=pools)
     print(result.render_text())
     _write_tsv(args.tsv, result.render_tsv())
     return 0

@@ -1,16 +1,19 @@
 """Knowledge-probe harness: cloze evaluation, frequency buckets, norm sweep."""
 
-import warnings
 from dataclasses import dataclass, field
 
 from pelt.checkpoint import fingerprint
 from pelt.corpus import BUCKET_LABELS, OCCURRENCE_CAP, bucket_label, parse_marked_line
-from pelt.errors import ContractError
+from pelt.errors import ContractError, FormatError
 from pelt.infuse import cloze_predict_infused
 from pelt.model import predict_topk
 from pelt.table import (check_norm_l, collect_directions, table_from_directions,
                         verify_table)
 from pelt.vocab import MASK_ID
+
+
+def _rate(correct, total):
+    return correct / total if total else 0.0
 
 
 @dataclass
@@ -31,76 +34,69 @@ class ProbeReport:
 
     @property
     def micro_p1(self):
-        c = sum(c for c, _ in self.per_relation.values())
-        t = sum(t for _, t in self.per_relation.values())
-        return c / t if t else 0.0
+        return _rate(sum(c for c, _ in self.per_relation.values()), self.query_count())
 
     def bucket_p1(self, label):
-        c, t = self.per_bucket.get(label, (0, 0))
-        return c / t if t else 0.0
+        return _rate(*self.per_bucket.get(label, (0, 0)))
 
     def query_count(self):
         return sum(t for _, t in self.per_relation.values())
 
+    def _rows(self):
+        """(kind, key, P@1, n) in report order: the relations sorted, the
+        macro and micro means, then every bucket, empty ones included."""
+        n = self.query_count()
+        return ([("relation", rel, _rate(*self.per_relation[rel]), self.per_relation[rel][1])
+                 for rel in sorted(self.per_relation)]
+                + [("mean", "macro", self.macro_p1, n), ("mean", "micro", self.micro_p1, n)]
+                + [("bucket", label, self.bucket_p1(label),
+                    self.per_bucket.get(label, (0, 0))[1]) for label in BUCKET_LABELS])
+
     def render_text(self):
-        lines = []
-        lines.append(f"mode {self.mode}  L {self.norm_l:g}  "
-                     f"model {self.model_fingerprint[:12]}")
-        for subject, reason in self.rejected:
-            lines.append(f"rejected {subject}: {reason}")
+        lines = [f"mode {self.mode}  L {self.norm_l:g}  model {self.model_fingerprint[:12]}"]
+        lines += [f"rejected {subject}: {reason}" for subject, reason in self.rejected]
         lines.append(f"{'relation':<12} {'P@1':>7} {'n':>5}")
-        for rel in sorted(self.per_relation):
-            c, t = self.per_relation[rel]
-            lines.append(f"{rel:<12} {c / t if t else 0.0:7.3f} {t:5d}")
-        lines.append(f"{'macro mean':<12} {self.macro_p1:7.3f} {self.query_count():5d}")
-        lines.append(f"{'micro mean':<12} {self.micro_p1:7.3f} {self.query_count():5d}")
-        lines.append(f"{'bucket':<12} {'P@1':>7} {'n':>5}")
-        for label in BUCKET_LABELS:
-            t = self.per_bucket.get(label, (0, 0))[1]
-            lines.append(f"{label:<12} {self.bucket_p1(label):7.3f} {t:5d}")
+        for kind, key, p1, n in self._rows():
+            if (kind, key) == ("bucket", BUCKET_LABELS[0]):
+                lines.append(f"{'bucket':<12} {'P@1':>7} {'n':>5}")
+            lines.append(f"{key + ' mean' if kind == 'mean' else key:<12} {p1:7.3f} {n:5d}")
         return "\n".join(lines)
 
     def render_tsv(self):
-        rows = [f"meta\tmode\t{self.mode}",
-                f"meta\tnorm_l\t{self.norm_l:g}",
+        rows = [f"meta\tmode\t{self.mode}", f"meta\tnorm_l\t{self.norm_l:g}",
                 f"meta\tmodel\t{self.model_fingerprint}"]
-        for subject, reason in self.rejected:
-            rows.append(f"rejected\t{subject}\t{reason}")
-        for rel in sorted(self.per_relation):
-            c, t = self.per_relation[rel]
-            rows.append(f"relation\t{rel}\t{c / t if t else 0.0:.6f}\t{t}")
-        rows.append(f"mean\tmacro\t{self.macro_p1:.6f}\t{self.query_count()}")
-        rows.append(f"mean\tmicro\t{self.micro_p1:.6f}\t{self.query_count()}")
-        for label in BUCKET_LABELS:
-            t = self.per_bucket.get(label, (0, 0))[1]
-            rows.append(f"bucket\t{label}\t{self.bucket_p1(label):.6f}\t{t}")
+        rows += [f"rejected\t{subject}\t{reason}" for subject, reason in self.rejected]
+        rows += [f"{kind}\t{key}\t{p1:.6f}\t{n}" for kind, key, p1, n in self._rows()]
         return "\n".join(rows)
 
 
-def _candidate_ids(catalog, vocab):
-    """Per-relation single-token candidate sets derived from the catalog."""
+def candidate_pools(catalog, vocab):
+    """Per-relation candidate answer ids: every catalog answer of the relation,
+    sorted. FormatError when an answer is not one vocabulary token."""
     pools = {}
     for entity in catalog:
         for rel, ans in entity.facts.items():
+            if ans not in vocab:
+                raise FormatError(f"catalog answer {ans!r} of relation {rel!r} "
+                                  f"(entity {entity.entity_id}) is not in the vocabulary")
             pools.setdefault(rel, set()).add(vocab.id(ans))
     return {rel: sorted(ids) for rel, ids in pools.items()}
 
 
-def run_probe(queries, vocab, ckpt, table=None, restrict=False, catalog=None):
+def run_probe(queries, vocab, ckpt, table=None, pools=None):
     """Evaluate P@1 per relation and per frequency bucket.
 
     ``table=None`` runs the vanilla model; an empty table gives identical
     results. A table is verified against ``ckpt`` once, before any query.
-    ``restrict=True`` ranks only over the relation's answer tokens
-    (requires the catalog to derive the pools).
+    ``pools`` (from ``candidate_pools``) ranks each query only over its
+    relation's pool; a relation without a pool, or ``pools=None``, ranks
+    over the whole vocabulary.
     """
     if not queries:
         raise ContractError("cloze set is empty")
-    if restrict and catalog is None:
-        raise ContractError("candidate restriction needs the entity catalog")
     if table is not None:
         verify_table(table, ckpt)
-    pools = _candidate_ids(catalog, vocab) if restrict else {}
+    pools = pools or {}
     per_relation = {}
     per_bucket = {}
     rejected = []
@@ -114,7 +110,7 @@ def run_probe(queries, vocab, ckpt, table=None, restrict=False, catalog=None):
         if len(positions) != 1:
             rejected.append((q.subject, f"{len(positions)} [MASK] tokens in query"))
             continue
-        candidates = pools.get(q.relation) if restrict else None
+        candidates = pools.get(q.relation)
         if table is not None:
             ranked = cloze_predict_infused(sentence, positions[0], table, ckpt, 1,
                                            candidates)
@@ -122,13 +118,11 @@ def run_probe(queries, vocab, ckpt, table=None, restrict=False, catalog=None):
             ranked = predict_topk(ckpt, sentence.tokens, positions[0], 1, candidates)
         hit = int(ranked[0][0] == vocab.id(q.answer))
         outcomes.append((q.subject, hit))
-        rc, rt = per_relation.get(q.relation, (0, 0))
-        per_relation[q.relation] = (rc + hit, rt + 1)
-        label = bucket_label(q.subject_freq)
-        bc, bt = per_bucket.get(label, (0, 0))
-        per_bucket[label] = (bc + hit, bt + 1)
-    mode = "infused" if table is not None else "vanilla"
-    norm_l = table.norm_l if table is not None else 0.0
+        for counts, key in ((per_relation, q.relation),
+                            (per_bucket, bucket_label(q.subject_freq))):
+            c, t = counts.get(key, (0, 0))
+            counts[key] = (c + hit, t + 1)
+    mode, norm_l = ("infused", table.norm_l) if table is not None else ("vanilla", 0.0)
     return ProbeReport(mode, fingerprint(ckpt).hex(), norm_l,
                        per_relation, per_bucket, rejected, outcomes)
 
@@ -153,30 +147,20 @@ class SweepResult:
 
 
 def sweep_norm(queries, vocab, ckpt, lookup_sentences, entity_ids, l_values,
-               cap=OCCURRENCE_CAP, restrict=False, catalog=None):
-    """Probe one table per L; directions are collected once and rescaled.
+               cap=OCCURRENCE_CAP, pools=None):
+    """Probe one table per distinct L; directions are collected once and rescaled.
 
-    Ties in mean P@1 break toward the smaller L.
+    Every L is checked before anything is collected, and a repeated L is
+    probed once. Each probe is one ``run_probe`` call with ``pools``. The
+    selected L is the first best of the ascending curve, so ties in mean P@1
+    break toward the smaller L.
     """
-    values = []
-    for l in l_values:
+    values = [float(l) for l in l_values]
+    for l in values:
         check_norm_l(l)
-        if l in values:
-            warnings.warn(f"duplicate norm value {l:g} dropped from sweep")
-            continue
-        values.append(float(l))
     if not values:
         raise ContractError("no norm values to sweep")
-    values.sort()
     dirset = collect_directions(entity_ids, lookup_sentences, ckpt, cap=cap)
-    curve = []
-    best_l, best_p = None, -1.0
-    for l in values:
-        tab = table_from_directions(dirset, l)
-        report = run_probe(queries, vocab, ckpt, table=tab, restrict=restrict,
-                           catalog=catalog)
-        p = report.macro_p1
-        curve.append((l, p))
-        if p > best_p:
-            best_l, best_p = l, p
-    return SweepResult(curve, best_l, dirset)
+    curve = [(l, run_probe(queries, vocab, ckpt, table_from_directions(dirset, l),
+                           pools).macro_p1) for l in sorted(set(values))]
+    return SweepResult(curve, max(curve, key=lambda point: point[1])[0], dirset)

@@ -13,7 +13,6 @@ per entry: u32 id length, UTF-8 id bytes, u32 occurrence count, D f32 values.
 """
 
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +118,7 @@ def build_table(entity_ids, sentences, ckpt, norm_l, cap=OCCURRENCE_CAP):
     """Check L, index, collect, aggregate; returns (table, skipped entity ids)."""
     check_norm_l(norm_l)
     dirset = collect_directions(entity_ids, sentences, ckpt, cap=cap)
-    table = table_from_directions(dirset, norm_l)
-    if not table.entries:
-        warnings.warn("built an empty entity table: no entity had occurrences")
-    return table, dirset.skipped
+    return table_from_directions(dirset, norm_l), dirset.skipped
 
 
 # ---------------------------------------------------------------------------

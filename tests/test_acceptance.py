@@ -169,9 +169,8 @@ def test_criterion_06_rare_entity_experiment(flagship):
         details.append(f"seed {seed}: rare +{rare_gain * 100:.0f}pts "
                        f"(freq {freq_gain * 100:+.0f}pts, "
                        f"train {run['train_seconds']:.0f}s, rare n={rare_pop})")
-        with pytest.warns(UserWarning, match="empty"):
-            empty_table, _ = build_table(["absent"], run["lookup"], run["ckpt"],
-                                         run["sweep"].selected_l)
+        empty_table, _ = build_table(["absent"], run["lookup"], run["ckpt"],
+                                     run["sweep"].selected_l)
         empty = run_probe(bundle.queries, bundle.vocab, run["ckpt"], table=empty_table)
         ok = ok and empty.per_relation == run["vanilla"].per_relation \
             and empty.outcomes == run["vanilla"].outcomes

@@ -372,3 +372,39 @@ class TestUsageAndConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {path}, line 3: ")
         assert not tsv.exists()
+
+    @pytest.mark.parametrize("command", ["probe", "sweep"])
+    def test_out_of_vocabulary_catalog_answer_exits_1(self, pipeline, tmp_path, capsys,
+                                                      command):
+        _, data, ckpt = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        path = copy / "catalog.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split("\t")
+        relation = sorted(fields[6].split(";"))[0].split("=")[0]
+        fields[6] = ";".join(f"{kv.split('=')[0]}=zzqxjanuary"
+                             if kv.startswith(relation + "=") else kv
+                             for kv in fields[6].split(";"))
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tsv = tmp_path / "out.tsv"
+        assert main([command, "--ckpt", ckpt, "--data", str(copy), "--restrict",
+                     "--tsv", str(tsv)]
+                    + (["--l", "1,2"] if command == "sweep" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert relation in err and "'zzqxjanuary'" in err
+        assert not tsv.exists()
+
+    # Under pytest a library warning is recorded, not printed; as an error it
+    # reaches main, so a warning and any stray stderr line both fail here.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["build-table", "--entities", "ent_absent"],
+                                      ["sweep", "--l", "2,2,3"]], ids=lambda a: a[0])
+    def test_success_leaves_stderr_empty(self, pipeline, tmp_path, capsys, argv):
+        _, data, ckpt = pipeline
+        out = ["--out", str(tmp_path / "t.bin")] if argv[0] == "build-table" else []
+        assert main(argv[:1] + ["--ckpt", ckpt, "--data", data] + out + argv[1:]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out

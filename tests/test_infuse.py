@@ -161,8 +161,7 @@ class TestClozePredictInfused:
     def test_empty_table_equals_vanilla_exactly(self, world):
         bundle, ckpt, _ = world
         lookup = parse_corpus(bundle.lookup_lines, bundle.vocab)
-        with pytest.warns(UserWarning, match="empty"):
-            table, _ = build_table(["ent_404"], lookup, ckpt, 4.0)
+        table, _ = build_table(["ent_404"], lookup, ckpt, 4.0)
         for entity in bundle.catalog.entries[:5]:
             s = _query_sentence(bundle, entity)
             pos = s.tokens.index(MASK_ID)

@@ -9,7 +9,7 @@ from pelt.checkpoint import fingerprint
 from pelt.cloze import ClozeQuery, load_cloze, save_cloze
 from pelt.corpus import BUCKET_LABELS, CorpusConfig, generate_corpus, parse_corpus
 from pelt.errors import ConfigError, ContractError, FingerprintError
-from pelt.probe import run_probe, sweep_norm
+from pelt.probe import ProbeReport, candidate_pools, run_probe, sweep_norm
 from pelt.synth import synthetic_checkpoint
 from pelt.table import build_table, table_from_directions
 
@@ -41,14 +41,13 @@ class TestRunProbe:
             entries.append(EntityInfo(e.entity_id, e.surface, e.pieces,
                                       {rel: q.answer}, e.train_freq,
                                       e.probe_relation, e.probe_template))
-        report = run_probe(queries, bundle.vocab, ckpt,
-                           restrict=True, catalog=EntityCatalog(entries))
+        pools = candidate_pools(EntityCatalog(entries), bundle.vocab)
+        report = run_probe(queries, bundle.vocab, ckpt, pools=pools)
         assert report.macro_p1 == 1.0 and report.micro_p1 == 1.0
 
     def test_vanilla_and_empty_table_reports_identical(self, world):
         bundle, ckpt, lookup = world
-        with pytest.warns(UserWarning, match="empty"):
-            table, _ = build_table(["ent_404"], lookup, ckpt, 1.0)
+        table, _ = build_table(["ent_404"], lookup, ckpt, 1.0)
         vanilla = run_probe(bundle.queries, bundle.vocab, ckpt)
         infused = run_probe(bundle.queries, bundle.vocab, ckpt, table=table)
         assert vanilla.per_relation == infused.per_relation
@@ -140,6 +139,39 @@ class TestRunProbe:
         tsv = report.render_tsv()
         assert any(line.startswith("bucket\t") for line in tsv.splitlines())
 
+    def test_render_exact_bytes(self):
+        # relations print sorted, an empty bucket prints as 0 of 0
+        report = ProbeReport("infused", "ab" * 32, 2.5,
+                             {"lives_in": (1, 3), "born_in": (2, 2)},
+                             {"[100,inf)": (1, 2), "[0,10)": (1, 2), "[10,50)": (1, 1)},
+                             [("ent_009", "answer 'zz' not in vocabulary")])
+        assert report.render_text() == (
+            "mode infused  L 2.5  model abababababab\n"
+            "rejected ent_009: answer 'zz' not in vocabulary\n"
+            "relation         P@1     n\n"
+            "born_in        1.000     2\n"
+            "lives_in       0.333     3\n"
+            "macro mean     0.667     5\n"
+            "micro mean     0.600     5\n"
+            "bucket           P@1     n\n"
+            "[0,10)         0.500     2\n"
+            "[10,50)        1.000     1\n"
+            "[50,100)       0.000     0\n"
+            "[100,inf)      0.500     2")
+        assert report.render_tsv() == (
+            "meta\tmode\tinfused\n"
+            "meta\tnorm_l\t2.5\n"
+            f"meta\tmodel\t{'ab' * 32}\n"
+            "rejected\tent_009\tanswer 'zz' not in vocabulary\n"
+            "relation\tborn_in\t1.000000\t2\n"
+            "relation\tlives_in\t0.333333\t3\n"
+            "mean\tmacro\t0.666667\t5\n"
+            "mean\tmicro\t0.600000\t5\n"
+            "bucket\t[0,10)\t0.500000\t2\n"
+            "bucket\t[10,50)\t1.000000\t1\n"
+            "bucket\t[50,100)\t0.000000\t0\n"
+            "bucket\t[100,inf)\t0.500000\t2")
+
     def test_cloze_file_round_trip(self, world, tmp_path):
         bundle, _, _ = world
         path = tmp_path / "cloze.tsv"
@@ -157,12 +189,18 @@ class TestSweep:
         winners = [l for l, p in result.curve if p == best]
         assert result.selected_l == min(winners)
 
-    def test_duplicate_l_deduplicated_with_warning(self, world):
+    def test_duplicate_l_probed_once(self, world, monkeypatch):
         bundle, ckpt, lookup = world
-        with pytest.warns(UserWarning, match="duplicate"):
-            result = sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
-                                bundle.catalog.ids(), [2.0, 2.0, 3.0])
-        assert [l for l, _ in result.curve] == [2.0, 3.0]
+        probed = []
+
+        def counted(queries, vocab, ckpt, table=None, pools=None):
+            probed.append(table.norm_l)
+            return run_probe(queries, vocab, ckpt, table, pools)
+
+        monkeypatch.setattr("pelt.probe.run_probe", counted)
+        result = sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
+                            bundle.catalog.ids(), iter([3.0, 2.0, 3, 2.0]))
+        assert [l for l, _ in result.curve] == [2.0, 3.0] and probed == [2.0, 3.0]
 
     def test_directions_reused_cosine_one(self, world):
         bundle, ckpt, lookup = world

@@ -39,8 +39,7 @@ def _directions(r):
 
 def _empty_table(lookup, ckpt, norm_l=1.0):
     """The table build_table returns when no requested entity occurs."""
-    with pytest.warns(UserWarning, match="empty"):
-        return build_table(["ent_404"], lookup, ckpt, norm_l)[0]
+    return build_table(["ent_404"], lookup, ckpt, norm_l)[0]
 
 
 class TestBuildEmbedding:
@@ -142,9 +141,8 @@ class TestBuildTable:
 
     def test_empty_table_warns(self, setup):
         bundle, ckpt, lookup = setup
-        with pytest.warns(UserWarning, match="empty"):
-            table, skipped = build_table(["ent_404"], lookup, ckpt, 2.0)
-        assert len(table) == 0
+        table, skipped = build_table(["ent_404", "ent_404"], lookup, ckpt, 2.0)
+        assert len(table) == 0 and skipped == ["ent_404"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_l_rejected_before_collecting(self, setup, monkeypatch, value):
