@@ -63,7 +63,7 @@ def _write_tsv(path, text):
             f.write(text + "\n")
 
 
-def _load_data_dir(data_dir, need=("vocab",)):
+def _load_data_dir(data_dir, need=("vocab",), ckpt=None):
     load = {"vocab": Vocabulary.load, "catalog": corpus_mod.EntityCatalog.load,
             "cloze": load_cloze, "train": corpus_mod.read_corpus_file,
             "lookup": corpus_mod.read_corpus_file}
@@ -73,6 +73,9 @@ def _load_data_dir(data_dir, need=("vocab",)):
         if not os.path.exists(path):
             raise PeltError(f"missing {key} file: {path}")
         out[key] = load[key](path)
+    if ckpt is not None and len(out["vocab"]) != ckpt.config.vocab_size:
+        raise ConfigError(f"vocabulary of {len(out['vocab'])} tokens in {data_dir}, "
+                          f"checkpoint expects {ckpt.config.vocab_size}")
     return out
 
 
@@ -129,7 +132,7 @@ def _cmd_train(args):
 
 def _cmd_build_table(args):
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
-    data = _load_data_dir(args.data, need=("vocab", "catalog", args.source))
+    data = _load_data_dir(args.data, need=("vocab", "catalog", args.source), ckpt=ckpt)
     sentences = corpus_mod.parse_corpus(data[args.source], data["vocab"])
     entity_ids = (args.entities.split(",") if args.entities
                   else data["catalog"].ids())
@@ -144,7 +147,7 @@ def _cmd_build_table(args):
 
 def _cmd_probe(args):
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
-    data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze"))
+    data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze"), ckpt=ckpt)
     table = table_mod.load_table(args.table, ckpt) if args.table else None
     pools = (probe_mod.candidate_pools(data["catalog"], data["vocab"])
              if args.restrict else None)
@@ -179,7 +182,7 @@ def _parse_l_values(spec):
 
 def _cmd_sweep(args):
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
-    data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze", "lookup"))
+    data = _load_data_dir(args.data, need=("vocab", "catalog", "cloze", "lookup"), ckpt=ckpt)
     sentences = corpus_mod.parse_corpus(data["lookup"], data["vocab"])
     l_values = _parse_l_values(args.l)
     pools = (probe_mod.candidate_pools(data["catalog"], data["vocab"])

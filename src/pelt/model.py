@@ -7,9 +7,10 @@ output at one position of each slot sequence, where a slot is a token id or
 a direct (D,) input vector (which is what lets constructed entity
 embeddings ride along as pseudo-tokens). Entity tables sum these outputs
 over masked occurrences; predict_topk() ranks the vocabulary against one of
-them, with or without infused vectors. It rests on encode(), one unpadded
-no-grad pass per sequence length, and output_repr(), the head over a stack
-of rows; neither result depends on how the inputs are batched.
+them, with or without infused vectors. Each distinct all-token input is
+encoded once by encode(), one unpadded no-grad pass per sequence length
+whose last layer runs past attention on the masked rows only; output_repr()
+is the head over a stack of rows. No result depends on the batching.
 """
 
 import time
@@ -99,16 +100,18 @@ def init_params(config, dtype=np.float32):
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _encoder(params, cfg, x, attn_bias):
-    """H = Enc(LayerNorm(x + P)); x is (B, n, D) input features."""
-    n = x.shape[1]
+def _encoder(params, cfg, x, attn_bias, rows=None):
+    """H = Enc(LayerNorm(x + P)); x is (B, n, D) input features. With
+    ``rows`` (flat indices into the B*n positions) only those rows return,
+    and for n > 1 the last layer runs them alone past attention."""
+    b, n = x.shape[:2]
+    last = cfg.layers - 1 if rows is not None and n > 1 else -1
     pos = gather_rows(params["emb.pos"], np.arange(n))
     h = layer_norm(add(x, pos), params["emb.ln.g"], params["emb.ln.b"], cfg.ln_eps)
     hd = cfg.dim // cfg.heads
     scale = 1.0 / np.sqrt(hd)
     for i in range(cfg.layers):
         pre = f"layer{i}."
-        b = h.shape[0]
         q = add(matmul(h, params[pre + "attn.wq"]), params[pre + "attn.bq"])
         k = add(matmul(h, params[pre + "attn.wk"]), params[pre + "attn.bk"])
         v = add(matmul(h, params[pre + "attn.wv"]), params[pre + "attn.bv"])
@@ -120,11 +123,15 @@ def _encoder(params, cfg, x, attn_bias):
             scores = add(scores, attn_bias)
         weights = softmax(scores, axis=-1)
         ctx = reshape(transpose(matmul(weights, vh), (0, 2, 1, 3)), (b, n, cfg.dim))
+        if i == last:
+            ctx, h = (gather_rows(reshape(t, (b * n, cfg.dim)), rows) for t in (ctx, h))
         out = add(matmul(ctx, params[pre + "attn.wo"]), params[pre + "attn.bo"])
         h = layer_norm(add(h, out), params[pre + "ln1.g"], params[pre + "ln1.b"], cfg.ln_eps)
         f = gelu(add(matmul(h, params[pre + "ffn.w1"]), params[pre + "ffn.b1"]))
         f = add(matmul(f, params[pre + "ffn.w2"]), params[pre + "ffn.b2"])
         h = layer_norm(add(h, f), params[pre + "ln2.g"], params[pre + "ln2.b"], cfg.ln_eps)
+    if rows is not None and last < 0:
+        h = gather_rows(reshape(h, (b * n, cfg.dim)), rows)
     return h
 
 
@@ -134,13 +141,15 @@ def _head(params, cfg, h):
     return layer_norm(f, params["head.ln.g"], params["head.ln.b"], cfg.ln_eps)
 
 
-def encode(ckpt, seqs):
+def encode(ckpt, seqs, positions=None):
     """Contextual representations for a batch of slot sequences.
 
     A slot is a token id or a direct (D,) input vector. The batch is grouped
     by length (stably) and each group runs as one pass with no padding and
     no attention bias, so a sequence's vectors do not depend on its batch.
-    Returns one (n_i, D) array per sequence, in input order.
+    Returns one (n_i, D) array per sequence, in input order, or with
+    ``positions`` the row at ``positions[i]`` of each, bit for bit; a group
+    of one then runs its row twice, as output_repr does.
     """
     cfg = ckpt.config
     if not seqs:
@@ -167,13 +176,18 @@ def encode(ckpt, seqs):
             raise ConfigError(
                 f"input vector at slot {j} has shape {vec.shape}, model dim is {cfg.dim}")
         x[i, j] = vec
+    if positions is not None and not all(0 <= p < n for p, n in zip(positions, lens)):
+        raise IndexError("a position lies outside its sequence")
     groups = {}
     for i, n in enumerate(lens):
         groups.setdefault(n, []).append(i)
     out = [None] * len(seqs)
     for n, idx in groups.items():
+        rows = None if positions is None else (
+            [k * n + positions[i] for k, i in enumerate(idx)] * (2 if len(idx) == 1 else 1))
         with no_grad():
-            h = _encoder(ckpt.params, cfg, Tensor(x if len(groups) == 1 else x[idx, :n]), None)
+            h = _encoder(ckpt.params, cfg, Tensor(x if len(groups) == 1 else x[idx, :n]),
+                         None, rows)
         for k, i in enumerate(idx):
             out[i] = h.data[k]
     return out
@@ -203,19 +217,27 @@ def output_repr(ckpt, rows):
 def masked_outputs(ckpt, seqs, positions):
     """MLM-head output at ``positions[i]`` of each slot sequence ``seqs[i]``.
 
-    Sequences are ordered by length and encoded in slices of at most
-    _MASKED_SLICE; the head runs once per slice and each slice's rows are
-    copied out before the next is encoded. encode never pads and a head row
-    does not depend on its stack, so the (m, D) result, in input order,
-    equals encoding one sequence at a time, whatever the slice size.
+    Each distinct all-token (sequence, position) pair is encoded once, its
+    row copied to every repeat (a vector slot is unhashable: never merged).
+    These are ordered by length and encoded in slices of at most
+    _MASKED_SLICE, the last layer past attention on the masked rows only;
+    the head runs once per slice. encode never pads and a head row does not
+    depend on its stack, so the (m, D) result, in input order, equals
+    encoding one sequence at a time, whatever the slice size.
     """
+    first, src = {}, list(range(len(seqs)))  # src[i]: the index whose row i copies
+    for i, seq in enumerate(seqs):
+        try:
+            src[i] = first.setdefault((tuple(seq), positions[i]), i)
+        except TypeError:  # holds a vector
+            pass
     out = np.empty((len(seqs), ckpt.config.dim), dtype=ckpt.params["emb.word"].data.dtype)
-    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
+    order = sorted((i for i, j in enumerate(src) if i == j), key=lambda i: len(seqs[i]))
     for lo in range(0, len(order), _MASKED_SLICE):
         idx = order[lo:lo + _MASKED_SLICE]
-        hs = encode(ckpt, [seqs[i] for i in idx])
-        out[idx] = output_repr(ckpt, np.stack([h[positions[i]] for i, h in zip(idx, hs)]))
-    return out
+        hs = encode(ckpt, [seqs[i] for i in idx], [positions[i] for i in idx])
+        out[idx] = output_repr(ckpt, np.stack(hs))
+    return out[src]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ class Vocabulary:
                 raise ConfigError(f"duplicate vocabulary entry {tok!r}")
             self.index[tok] = i
         self._max_len = max(len(t) for t in tokens)
+        self._chunks = {}  # whitespace chunk -> its token ids, filled by tokenize
 
     @classmethod
     def from_words(cls, words):
@@ -50,24 +51,28 @@ class Vocabulary:
 
 def tokenize(text, vocab):
     """Greedy longest-match over whitespace-separated chunks; unmatched
-    characters become UNK one at a time."""
+    characters become UNK one at a time. Each chunk is matched once per
+    vocabulary and remembered."""
     out = []
     for chunk in text.split():
-        i = 0
-        n = len(chunk)
-        while i < n:
-            match = None
-            top = min(n - i, vocab._max_len)
-            for length in range(top, 0, -1):
-                piece = chunk[i:i + length]
-                if piece in vocab.index:
-                    match = piece
-                    break
-            if match is None:
-                out.append(UNK_ID)
-                i += 1
-            else:
-                out.append(vocab.index[match])
-                i += len(match)
+        ids = vocab._chunks.get(chunk)
+        if ids is None:
+            ids = vocab._chunks[chunk] = []
+            i = 0
+            n = len(chunk)
+            while i < n:
+                match = None
+                top = min(n - i, vocab._max_len)
+                for length in range(top, 0, -1):
+                    piece = chunk[i:i + length]
+                    if piece in vocab.index:
+                        match = piece
+                        break
+                if match is None:
+                    ids.append(UNK_ID)
+                    i += 1
+                else:
+                    ids.append(vocab.index[match])
+                    i += len(match)
+        out.extend(ids)
     return out
-

@@ -397,6 +397,28 @@ class TestUsageAndConfig:
         assert relation in err and "'zzqxjanuary'" in err
         assert not tsv.exists()
 
+    @pytest.mark.parametrize("command", ["build-table", "probe", "sweep"])
+    def test_vocabulary_other_than_the_checkpoints_exits_1(self, pipeline, tmp_path,
+                                                           capsys, command):
+        # one token more in vocab.txt, and a lookup line that uses it
+        _, data, ckpt = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        vocab = copy / "vocab.txt"
+        size = len(vocab.read_text(encoding="utf-8").splitlines())
+        with open(vocab, "a", encoding="utf-8") as f:
+            f.write("zzqx\n")
+        lookup = copy / "lookup.txt"
+        with open(lookup, "a", encoding="utf-8") as f:
+            f.write(lookup.read_text(encoding="utf-8").splitlines()[0] + " zzqx\n")
+        out = tmp_path / "out"
+        flag = "--out" if command == "build-table" else "--tsv"
+        assert main([command, "--ckpt", ckpt, "--data", str(copy), flag, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: vocabulary of {size + 1} tokens in {copy}, "
+                       f"checkpoint expects {size}\n")
+        assert not out.exists()
+
     # Under pytest a library warning is recorded, not printed; as an error it
     # reaches main, so a warning and any stray stderr line both fail here.
     @pytest.mark.filterwarnings("error")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelt.corpus import (BUCKET_LABELS, MENTION_RE, CorpusConfig, EntityCatalog,
                          Mention, Sentence, bucket_label, generate_corpus,
@@ -55,6 +57,21 @@ class TestTokenize:
 
     def test_mask_literal(self, bundle):
         assert tokenize("[MASK]", bundle.vocab) == [MASK_ID]
+
+    def test_each_vocabulary_matches_a_chunk_its_own_way(self):
+        specials = ["[PAD]", "[MASK]", "[UNK]", "(", ")"]
+        whole = Vocabulary(specials + ["a", "ab", "b"])
+        split = Vocabulary(specials + ["a", "b"])
+        for _ in range(2):
+            assert tokenize("abab x", whole) == [6, 6, UNK_ID]
+            assert tokenize("abab x", split) == [5, 6, 5, 6, UNK_ID]
+
+    @given(st.text(st.sampled_from(list("aeilnoprstu[]MASK☂ \t\n")), max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_warm_memo_matches_a_fresh_vocabulary(self, bundle, text):
+        fresh = Vocabulary(bundle.vocab.tokens)
+        assert tokenize(text, bundle.vocab) == tokenize(text, fresh)
+        assert tokenize(text, bundle.vocab) == tokenize(text, fresh)
 
 
 class TestMarkup:

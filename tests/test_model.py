@@ -104,6 +104,32 @@ class TestEncode:
             for seq, h in zip(seqs, batch):
                 npt.assert_array_equal(h, encode(ckpt, [seq])[0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("dim,heads", [(16, 2), (48, 4), (64, 4)])
+    def test_positions_give_the_rows_of_a_full_encode(self, dim, heads, layers, dtype):
+        # the last layer past attention runs on the picked rows only; each row
+        # keeps its bits, in a group of one, for a one-token sequence, with
+        # vector slots and in groups of 2 to 64 sequences of one length
+        ckpt = synthetic_checkpoint(dim=dim, layers=layers, heads=heads, vocab_size=40,
+                                    max_len=16, seed=dim + layers, dtype=dtype)
+        rng = np.random.default_rng(dim + layers)
+        for size, n in ((1, 1), (1, 9), (3, 1), (2, 2), (5, 7), (64, 16)):
+            seqs = [list(rng.integers(5, 40, n)) for _ in range(size)]
+            for seq in seqs[::2]:
+                seq[rng.integers(n)] = rng.normal(size=dim).astype(dtype)
+            positions = [int(p) for p in rng.integers(n, size=size)]
+            full = encode(ckpt, seqs)
+            rows = encode(ckpt, seqs, positions)
+            assert all(r.shape == (dim,) and r.dtype == dtype for r in rows)
+            for i, p in enumerate(positions):
+                npt.assert_array_equal(rows[i], full[i][p])
+
+    def test_position_outside_its_sequence_rejected(self, tiny):
+        for positions in ([0, 3], [-1, 0]):
+            with pytest.raises(IndexError):
+                encode(tiny, [[5, 6, 7], [8, 9, 10]], positions)
+
     def test_empty_batch_and_empty_sequence(self, tiny):
         assert encode(tiny, []) == []
         with pytest.raises(ContractError):
@@ -190,6 +216,36 @@ class TestMaskedOutputs:
 
     def test_empty_list_gives_no_rows(self, tiny):
         assert masked_outputs(tiny, [], []).shape == (0, tiny.config.dim)
+
+    def test_repeated_inputs_are_encoded_once(self, tiny, monkeypatch):
+        # 150 sequences over 40 distinct (tokens, position) pairs, repeats far
+        # apart across slices, and equal tokens at different positions
+        import pelt.model
+        rng = np.random.default_rng(9)
+        pairs = []
+        for _ in range(20):
+            seq = tuple(int(t) for t in rng.integers(5, 40, rng.integers(2, 9)))
+            pairs += [(seq, 0), (seq, len(seq) - 1)]
+        picks = rng.integers(len(pairs), size=150)
+        seqs = [list(pairs[j][0]) if k % 2 else pairs[j][0] for k, j in enumerate(picks)]
+        positions = [pairs[j][1] for j in picks]
+        encoded = []
+        encode = pelt.model.encode
+        monkeypatch.setattr(pelt.model, "encode",
+                            lambda ckpt, s, p: encoded.extend(s) or encode(ckpt, s, p))
+        out = masked_outputs(tiny, seqs, positions)
+        assert len(encoded) == len({pairs[j] for j in picks})
+        npt.assert_array_equal(out, _one_at_a_time(tiny, seqs, positions))
+        monkeypatch.setattr(pelt.model, "_MASKED_SLICE", 3)
+        npt.assert_array_equal(masked_outputs(tiny, seqs, positions), out)
+
+    def test_equal_tokens_with_other_vectors_not_merged(self, tiny):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=(2, tiny.config.dim)).astype(np.float32)
+        seqs = [[5, a, MASK_ID, 6], [5, b, MASK_ID, 6], [5, a, MASK_ID, 6]]
+        out = masked_outputs(tiny, seqs, [2, 2, 2])
+        npt.assert_array_equal(out, _one_at_a_time(tiny, seqs, [2, 2, 2]))
+        assert np.abs(out[0] - out[1]).max() > 1e-6
 
     def test_slice_size_not_visible(self, tiny, masked_batch, monkeypatch):
         import pelt.model
