@@ -11,6 +11,8 @@ them, with or without infused vectors. Each distinct all-token input is
 encoded once by encode(), one unpadded no-grad pass per sequence length
 whose last layer runs past attention on the masked rows only; output_repr()
 is the head over a stack of rows. No result depends on the batching.
+Training (mlm_loss) and inference run the same encoder, built from the
+fused tape ops: six ``linear`` and one ``attention`` node per layer.
 """
 
 import time
@@ -21,12 +23,10 @@ import numpy as np
 from pelt.errors import (ConfigError, ContractError, DivergenceError,
                          LengthError, ShapeError)
 from pelt.optim import Adam
-from pelt.tensor import (ParamStore, Tensor, add, gather_rows, gelu,
-                         layer_norm, matmul, mul, no_grad, reshape, softmax,
+from pelt.tensor import (ParamStore, Tensor, add, attention, gather_rows,
+                         gelu, layer_norm, linear, matmul, no_grad, reshape,
                          softmax_cross_entropy, transpose)
 from pelt.vocab import MASK_ID, PAD_ID
-
-_NEG_INF = -1e9
 
 _MASKED_SLICE = 64
 
@@ -108,27 +108,17 @@ def _encoder(params, cfg, x, attn_bias, rows=None):
     last = cfg.layers - 1 if rows is not None and n > 1 else -1
     pos = gather_rows(params["emb.pos"], np.arange(n))
     h = layer_norm(add(x, pos), params["emb.ln.g"], params["emb.ln.b"], cfg.ln_eps)
-    hd = cfg.dim // cfg.heads
-    scale = 1.0 / np.sqrt(hd)
     for i in range(cfg.layers):
         pre = f"layer{i}."
-        q = add(matmul(h, params[pre + "attn.wq"]), params[pre + "attn.bq"])
-        k = add(matmul(h, params[pre + "attn.wk"]), params[pre + "attn.bk"])
-        v = add(matmul(h, params[pre + "attn.wv"]), params[pre + "attn.bv"])
-        qh = transpose(reshape(q, (b, n, cfg.heads, hd)), (0, 2, 1, 3))
-        kh = transpose(reshape(k, (b, n, cfg.heads, hd)), (0, 2, 1, 3))
-        vh = transpose(reshape(v, (b, n, cfg.heads, hd)), (0, 2, 1, 3))
-        scores = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), scale)
-        if attn_bias is not None:
-            scores = add(scores, attn_bias)
-        weights = softmax(scores, axis=-1)
-        ctx = reshape(transpose(matmul(weights, vh), (0, 2, 1, 3)), (b, n, cfg.dim))
+        q, k, v = (linear(h, params[pre + "attn.w" + c], params[pre + "attn.b" + c])
+                   for c in "qkv")
+        ctx = attention(q, k, v, cfg.heads, attn_bias)
         if i == last:
             ctx, h = (gather_rows(reshape(t, (b * n, cfg.dim)), rows) for t in (ctx, h))
-        out = add(matmul(ctx, params[pre + "attn.wo"]), params[pre + "attn.bo"])
+        out = linear(ctx, params[pre + "attn.wo"], params[pre + "attn.bo"])
         h = layer_norm(add(h, out), params[pre + "ln1.g"], params[pre + "ln1.b"], cfg.ln_eps)
-        f = gelu(add(matmul(h, params[pre + "ffn.w1"]), params[pre + "ffn.b1"]))
-        f = add(matmul(f, params[pre + "ffn.w2"]), params[pre + "ffn.b2"])
+        f = gelu(linear(h, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
+        f = linear(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
         h = layer_norm(add(h, f), params[pre + "ln2.g"], params[pre + "ln2.b"], cfg.ln_eps)
     if rows is not None and last < 0:
         h = gather_rows(reshape(h, (b * n, cfg.dim)), rows)
@@ -137,7 +127,7 @@ def _encoder(params, cfg, x, attn_bias, rows=None):
 
 def _head(params, cfg, h):
     """Output-representation transform r = LayerNorm(GELU(hW + b))."""
-    f = gelu(add(matmul(h, params["head.w"]), params["head.b"]))
+    f = gelu(linear(h, params["head.w"], params["head.b"]))
     return layer_norm(f, params["head.ln.g"], params["head.ln.b"], cfg.ln_eps)
 
 
@@ -193,14 +183,6 @@ def encode(ckpt, seqs, positions=None):
     return out
 
 
-def _attention_bias(pad, dtype):
-    """Additive key mask for a training batch's (B, n) padding mask, or None."""
-    if not pad.any():
-        return None
-    bias = np.where(pad, _NEG_INF, 0.0).astype(dtype)
-    return bias[:, None, None, :]
-
-
 def output_repr(ckpt, rows):
     """MLM-head transform of each row of an (m, D) stack; PELT sums these.
 
@@ -218,7 +200,8 @@ def masked_outputs(ckpt, seqs, positions):
     """MLM-head output at ``positions[i]`` of each slot sequence ``seqs[i]``.
 
     Each distinct all-token (sequence, position) pair is encoded once, its
-    row copied to every repeat (a vector slot is unhashable: never merged).
+    row copied to every repeat with the same slot types (a vector slot is
+    unhashable and a float slot never equals a token: neither is merged).
     These are ordered by length and encoded in slices of at most
     _MASKED_SLICE, the last layer past attention on the masked rows only;
     the head runs once per slice. encode never pads and a head row does not
@@ -228,9 +211,11 @@ def masked_outputs(ckpt, seqs, positions):
     first, src = {}, list(range(len(seqs)))  # src[i]: the index whose row i copies
     for i, seq in enumerate(seqs):
         try:
-            src[i] = first.setdefault((tuple(seq), positions[i]), i)
+            j = first.setdefault((tuple(seq), positions[i]), i)
         except TypeError:  # holds a vector
-            pass
+            continue
+        if j != i and list(map(type, seq)) == list(map(type, seqs[j])):  # 5.0 == 5
+            src[i] = j
     out = np.empty((len(seqs), ckpt.config.dim), dtype=ckpt.params["emb.word"].data.dtype)
     order = sorted((i for i, j in enumerate(src) if i == j), key=lambda i: len(seqs[i]))
     for lo in range(0, len(order), _MASKED_SLICE):
@@ -260,7 +245,8 @@ def mlm_loss(params, cfg, tokens, targets):
     if sel.size == 0:
         raise ContractError("mlm loss: batch contains no masked position")
     emb = params["emb.word"]
-    bias = _attention_bias(tokens == PAD_ID, emb.data.dtype)
+    pad = tokens == PAD_ID  # masked out of attention as keys by a -1e9 bias
+    bias = np.where(pad, -1e9, 0.0).astype(emb.data.dtype)[:, None, None, :] if pad.any() else None
     x = gather_rows(emb, tokens)
     h = _encoder(params, cfg, x, bias)
     h_flat = reshape(h, (tokens.shape[0] * tokens.shape[1], cfg.dim))

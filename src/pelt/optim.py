@@ -1,4 +1,4 @@
-"""Adam optimizer over a ParamStore."""
+"""Adam optimizer over a ParamStore, packed into one flat buffer."""
 
 import numpy as np
 
@@ -9,14 +9,16 @@ _EPSILON = 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction; moment state kept per parameter."""
+    """Standard Adam with bias correction. Building it packs the store, so
+    one step is a few whole-buffer array operations over every parameter."""
 
     def __init__(self, params, lr=1e-3):
         self.params = params
         self.lr = lr
         self.t = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._data, self._grad = params.pack()
+        self._m = np.zeros_like(self._data)
+        self._v = np.zeros_like(self._data)
 
     def step(self, lr=None):
         """Apply one update in place; every parameter must carry a gradient."""
@@ -24,19 +26,16 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 raise ContractError(f"adam step: parameter {name!r} has no gradient")
+            if p.grad is not p._slot:  # set from outside the tape
+                p._slot[...] = p.grad
         self.t += 1
         b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + _EPSILON)
-            p.data -= lr * update
+        g, m, v = self._grad, self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        self._data -= lr * ((m / bc1) / (np.sqrt(v / bc2) + _EPSILON))
         return self.params
-

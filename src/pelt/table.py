@@ -146,7 +146,7 @@ def surrogate_gradient_deviation(r_vectors, emb_rows, seed=0):
     """
     from scipy.special import logsumexp
 
-    from pelt.tensor import Tensor, add, dot, mul
+    from pelt.tensor import Tensor, add, dot
 
     r = np.asarray(r_vectors, dtype=np.float64)
     emb = np.asarray(emb_rows, dtype=np.float64)
@@ -158,7 +158,7 @@ def surrogate_gradient_deviation(r_vectors, emb_rows, seed=0):
         point = Tensor(rng.normal(0.0, 1.0, r.shape[1]), requires_grad=True)
         loss = None
         for i in range(r.shape[0]):
-            term = add(mul(dot(point, Tensor(r[i])), -1.0), float(log_z[i]))
+            term = add(dot(point, Tensor(-r[i])), float(log_z[i]))
             loss = term if loss is None else add(loss, term)
         loss.backward()
         worst = max(worst, float(np.max(np.abs(point.grad - target))))

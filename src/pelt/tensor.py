@@ -5,7 +5,11 @@ Each operation links its result to its inputs through a backward closure;
 one forward pass builds exactly one tape. float32 is the training dtype,
 float64 the test / gradient-check dtype; dtypes never mix inside a graph.
 Broadcasting is restricted to trailing-dimension (bias style) addition to
-keep the kernel auditable.
+keep the kernel auditable. The fused ``linear`` and ``attention`` make the
+numpy calls of the matmul/add/reshape/transpose/softmax composition they
+replace, on the same operand layouts, so their bits are the composition's;
+``gelu`` and ``layer_norm`` work in place. ``ParamStore.pack`` gives the
+parameters one contiguous buffer and their gradients one more.
 """
 
 import contextlib
@@ -35,7 +39,7 @@ def no_grad():
 class Tensor:
     """A dense row-major array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_slot")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -46,6 +50,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+        self._slot = None  # a packed parameter's view into the gradient buffer
 
     @property
     def shape(self):
@@ -96,13 +101,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
 
-def _accum(t, g):
+def _accum(t, g, owned=True):
+    """Add g into t.grad; an ``owned`` g (computed by the op for t alone) is
+    kept as it is, and a packed parameter's first g is copied into its slot."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif t._slot is not None:
+        t._slot[...] = g
+        t.grad = t._slot
+    else:
+        t.grad = g if owned and g.dtype == t.data.dtype else g.astype(t.data.dtype)
 
 
 def _result(data, parents, backward):
@@ -123,31 +133,74 @@ def _check_same_dtype(*tensors):
 
 
 def matmul(a, b):
-    """Matrix product; 2-D weights or fully batched operands."""
+    """Product of (..., D) rows with a 2-D (D, N) matrix."""
     _check_same_dtype(a, b)
-    if a.data.shape[-1] != b.data.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    if b.ndim == 2:
-        data = a.data @ b.data
-    elif a.ndim == b.ndim:
-        if a.data.shape[:-2] != b.data.shape[:-2]:
-            raise ShapeError(f"matmul: batch dimensions disagree, {a.shape} x {b.shape}")
-        data = np.matmul(a.data, b.data)
-    else:
-        raise ShapeError(f"matmul: unsupported ranks, {a.shape} x {b.shape}")
+    if b.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
+        raise ShapeError(f"matmul: need (..., D) x (D, N), got {a.shape} x {b.shape}")
+    data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+            _accum(a, g @ b.data.T)
         if b.requires_grad:
-            if b.ndim == 2:
-                ga = a.data.reshape(-1, a.data.shape[-1])
-                gg = g.reshape(-1, g.shape[-1])
-                _accum(b, ga.T @ gg)
-            else:
-                _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+            _accum(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _result(data, (a, b), backward)
+
+
+def linear(x, w, b):
+    """x @ w + b for (..., D) rows, a (D, N) weight and an (N,) bias."""
+    _check_same_dtype(x, w, b)
+    if w.ndim != 2 or x.data.shape[-1] != w.data.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape} do not line up")
+    data = x.data @ w.data
+    data += b.data
+
+    def backward(g):
+        if b.requires_grad:
+            gb = g
+            while gb.ndim > 1:
+                gb = gb.sum(axis=0)
+            _accum(b, gb, owned=gb is not g)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.reshape(-1, w.data.shape[0]).T @ g.reshape(-1, g.shape[-1]))
+
+    return _result(data, (x, w, b), backward)
+
+
+def attention(q, k, v, heads, bias=None):
+    """softmax(q k^T / sqrt(D / heads) + bias) v per head of (B, n, D)
+    projections, as one tape node; ``bias`` is None or a (B, 1, 1, n) key mask."""
+    _check_same_dtype(q, k, v)
+    b, n, d = q.shape
+    if k.shape != q.shape or v.shape != q.shape or d % heads:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
+    hd = d // heads
+    c = float(1.0 / np.sqrt(hd))
+    qh, kh, vh = (t.data.reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for t in (q, k, v))
+    s = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    s *= c
+    if bias is not None:
+        s += bias
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    data = np.matmul(s, vh).transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    def backward(g):
+        gc = np.ascontiguousarray(g.reshape(b, n, heads, hd).transpose(0, 2, 1, 3))
+        gs = gc @ np.swapaxes(vh, -1, -2)
+        gv = np.matmul(np.swapaxes(s, -1, -2), gc)
+        gs *= s
+        gs -= s * gs.sum(axis=-1, keepdims=True)
+        gs *= c
+        _accum(q, (gs @ kh).transpose(0, 2, 1, 3).reshape(b, n, d))
+        _accum(k, np.matmul(np.swapaxes(qh, -1, -2), gs).transpose(0, 3, 1, 2).reshape(b, n, d))
+        _accum(v, gv.transpose(0, 2, 1, 3).reshape(b, n, d))
+
+    return _result(data, (q, k, v), backward)
 
 
 def add(a, b):
@@ -160,12 +213,12 @@ def add(a, b):
 
         def backward(g):
             if a.requires_grad:
-                _accum(a, g)
+                _accum(a, g, owned=False)
             if b.requires_grad:
                 gb = g
                 while gb.ndim > b.ndim:
                     gb = gb.sum(axis=0)
-                _accum(b, gb)
+                _accum(b, gb, owned=gb is not g)
 
         return _result(data, (a, b), backward)
 
@@ -174,34 +227,9 @@ def add(a, b):
         raise ShapeError(f"add: constant of shape {np.shape(b)} broadcast past {a.shape}")
 
     def backward_const(g):
-        _accum(a, g)
+        _accum(a, g, owned=False)
 
     return _result(data, (a,), backward_const)
-
-
-def mul(a, b):
-    """Elementwise product with a same-shape Tensor or a python scalar."""
-    if isinstance(b, Tensor):
-        _check_same_dtype(a, b)
-        if a.shape != b.shape:
-            raise ShapeError(f"mul: shapes differ, {a.shape} vs {b.shape}")
-        data = a.data * b.data
-
-        def backward(g):
-            if a.requires_grad:
-                _accum(a, g * b.data)
-            if b.requires_grad:
-                _accum(b, g * a.data)
-
-        return _result(data, (a, b), backward)
-
-    c = float(b)
-    data = a.data * c
-
-    def backward_scalar(g):
-        _accum(a, g * c)
-
-    return _result(data, (a,), backward_scalar)
 
 
 def dot(a, b):
@@ -224,7 +252,7 @@ def reshape(a, shape):
     data = a.data.reshape(shape)
 
     def backward(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(a, g.reshape(a.data.shape), owned=False)
 
     return _result(data, (a,), backward)
 
@@ -234,7 +262,7 @@ def transpose(a, axes=None):
     inv = None if axes is None else np.argsort(axes)
 
     def backward(g):
-        _accum(a, g.transpose(inv))
+        _accum(a, g.transpose(inv), owned=False)
 
     return _result(data, (a,), backward)
 
@@ -260,26 +288,33 @@ def gather_rows(table, indices):
 def gelu(a):
     """Exact (erf) GELU."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0, dtype=x.dtype)))
+    cdf = x / np.sqrt(2.0, dtype=x.dtype)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        _accum(a, g * (cdf + x * pdf).astype(x.dtype))
+        d = x * -0.5
+        d *= x
+        np.exp(d, out=d)
+        # sqrt(2 pi) is a float64 scalar, so cdf + x * pdf is evaluated in
+        # float64 and rounded once to the input dtype
+        d = d / np.sqrt(2.0 * np.pi)
+        d *= x
+        d += cdf
+        d = d.astype(x.dtype, copy=False)
+        d *= g
+        _accum(a, d)
 
     return _result(data, (a,), backward)
 
 
-def softmax(a, axis=-1):
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        gs = g * s
-        _accum(a, gs - s * gs.sum(axis=axis, keepdims=True))
-
-    return _result(s, (a,), backward)
+def _mean(a):
+    """a.mean(axis=-1, keepdims=True): the same sum and the same division by
+    an intp count, without ndarray.mean's Python wrapper."""
+    s = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
 
 
 def layer_norm(x, gain, bias, epsilon):
@@ -292,27 +327,31 @@ def layer_norm(x, gain, bias, epsilon):
         raise ValueError(f"layer_norm: epsilon must be >= 0, got {epsilon}")
     d = x.data.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match feature size {d}"
-        )
+        raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} "
+                         f"do not match feature size {d}")
     _check_same_dtype(x, gain, bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + epsilon)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    xhat = x.data - _mean(x.data)
+    buf = xhat * xhat
+    inv = 1.0 / np.sqrt(_mean(buf) + epsilon)
+    xhat *= inv
+    data = np.multiply(xhat, gain.data, out=buf)
+    data += bias.data
 
     def backward(g):
+        buf = g * xhat
         if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            _accum(gain, buf.reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * term)
+            m1 = _mean(dxhat)
+            np.multiply(dxhat, xhat, out=buf)
+            np.multiply(xhat, _mean(buf), out=buf)
+            dxhat -= m1
+            dxhat -= buf
+            dxhat *= inv
+            _accum(x, dxhat)
 
     return _result(data, (x, gain, bias), backward)
 
@@ -381,3 +420,19 @@ class ParamStore:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
+
+    def pack(self):
+        """Move every parameter into one contiguous buffer, in insertion
+        order, and give each a slot in one gradient buffer; returns both."""
+        tensors = list(self._params.values())
+        if len({t.data.dtype for t in tensors}) > 1:
+            raise ContractError("cannot pack parameters of mixed dtypes")
+        data = np.concatenate([t.data.reshape(-1) for t in tensors])
+        grad = np.zeros_like(data)
+        off = 0
+        for t in tensors:
+            n = t.data.size
+            t.data = data[off:off + n].reshape(t.data.shape)
+            t._slot = grad[off:off + n].reshape(t.data.shape)
+            off += n
+        return data, grad

@@ -1,0 +1,139 @@
+"""The generic tape ops the fused encoder ops replaced, kept as a reference.
+
+``pelt.tensor.linear`` and ``pelt.tensor.attention`` must equal, bit for bit,
+the compositions below of matmul (2-D or batched), add, reshape, transpose,
+scalar and elementwise mul, and softmax, the ops the encoder was built from
+before; the tests compare the two forward and backward.
+The numpy expressions of the in-place kernels and of per-parameter Adam that
+the library used before are kept here for the same purpose.
+"""
+
+import numpy as np
+
+from pelt.tensor import (Tensor, _accum, _check_same_dtype, _result, add,
+                         reshape, transpose)
+
+
+def matmul(a, b):
+    """Matrix product; 2-D weights or fully batched operands."""
+    _check_same_dtype(a, b)
+    if b.ndim == 2:
+        data = a.data @ b.data
+    else:
+        assert a.ndim == b.ndim and a.shape[:-2] == b.shape[:-2]
+        data = np.matmul(a.data, b.data)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            if b.ndim == 2:
+                ga = a.data.reshape(-1, a.data.shape[-1])
+                _accum(b, ga.T @ g.reshape(-1, g.shape[-1]))
+            else:
+                _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    return _result(data, (a, b), backward)
+
+
+def mul(a, b):
+    """Elementwise product with a same-shape Tensor or a python scalar."""
+    if not isinstance(b, Tensor):
+        c = float(b)
+        return _result(a.data * c, (a,), lambda g: _accum(a, g * c))
+    _check_same_dtype(a, b)
+    assert a.shape == b.shape
+    data = a.data * b.data
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
+
+    return _result(data, (a, b), backward)
+
+
+def softmax(a, axis=-1):
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        gs = g * s
+        _accum(a, gs - s * gs.sum(axis=axis, keepdims=True))
+
+    return _result(s, (a,), backward)
+
+
+def linear(x, w, b):
+    return add(matmul(x, w), b)
+
+
+def attention(q, k, v, heads, bias=None):
+    bsz, n, d = q.shape
+    hd = d // heads
+    qh, kh, vh = (transpose(reshape(t, (bsz, n, heads, hd)), (0, 2, 1, 3)) for t in (q, k, v))
+    scores = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+    if bias is not None:
+        scores = add(scores, bias)
+    weights = softmax(scores, axis=-1)
+    return reshape(transpose(matmul(weights, vh), (0, 2, 1, 3)), (bsz, n, d))
+
+
+def layer_norm_arrays(x, gain, bias, epsilon, g):
+    """Forward output and (x, gain, bias) gradients for upstream g."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + epsilon)
+    xhat = xc * inv
+    out = xhat * gain + bias
+    dxhat = g * gain
+    term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return (out, inv * term, (g * xhat).reshape(-1, d).sum(axis=0),
+            g.reshape(-1, d).sum(axis=0))
+
+
+def gelu_arrays(x, g):
+    """Forward output and input gradient for upstream g."""
+    from scipy.special import erf
+
+    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0, dtype=x.dtype)))
+    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return x * cdf, g * (cdf + x * pdf).astype(x.dtype)
+
+
+def adam_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam update per parameter array, in place; t counts from 1."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for p, g, mm, vv in zip(params, grads, m, v):
+        mm *= b1
+        mm += (1.0 - b1) * g
+        vv *= b2
+        vv += (1.0 - b2) * (g * g)
+        p -= lr * ((mm / bc1) / (np.sqrt(vv / bc2) + eps))
+
+
+def weighted_sum(a, w):
+    """sum(a * w) for a constant array w: a scalar whose gradient is w."""
+    data = np.asarray((a.data * w).sum())
+
+    def backward(g):
+        _accum(a, float(g) * w)
+
+    return _result(data, (a,), backward)
+
+
+def tape_ops(root):
+    """Number of op nodes reachable from root (leaves not counted)."""
+    seen, stack, ops = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += bool(node._parents)
+            stack.extend(node._parents)
+    return ops

@@ -17,7 +17,9 @@ from pelt.model import (Checkpoint, ModelConfig, encode,
                         init_params, masked_outputs, mlm_loss, output_repr,
                         predict_topk, train_mlm)
 from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch
-from pelt.vocab import MASK_ID
+from pelt.vocab import MASK_ID, PAD_ID
+
+import reference_ops
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +249,20 @@ class TestMaskedOutputs:
         npt.assert_array_equal(out, _one_at_a_time(tiny, seqs, [2, 2, 2]))
         assert np.abs(out[0] - out[1]).max() > 1e-6
 
+    def test_float_slot_equal_to_a_token_not_merged(self, tiny):
+        # 5.0 == 5 and hashes alike, but only an int slot is a token: the
+        # float sequence raises what it raises alone, in either order
+        with pytest.raises(ConfigError, match="slot 0 has shape") as alone:
+            masked_outputs(tiny, [[5.0, 6, 1]], [0])
+        for seqs in ([[5, 6, 1], [5.0, 6, 1]], [[5.0, 6, 1], [5, 6, 1]]):
+            with pytest.raises(ConfigError) as merged:
+                masked_outputs(tiny, seqs, [0, 0])
+            assert str(merged.value) == str(alone.value)
+        # token ids of other integer types still merge
+        seqs = [[5, 6, 1], [np.int64(5), 6, 1], (5, 6, 1)]
+        npt.assert_array_equal(masked_outputs(tiny, seqs, [0, 0, 0]),
+                               _one_at_a_time(tiny, seqs, [0, 0, 0]))
+
     def test_slice_size_not_visible(self, tiny, masked_batch, monkeypatch):
         import pelt.model
         seqs, positions = masked_batch
@@ -295,6 +311,52 @@ class TestMlmLoss:
         assert np.abs(h1 - h0).max() > 1e-9  # input side moved
         assert abs(logit1 - logit0) > 1e-9  # output side moved
         npt.assert_array_equal(r, r1)  # context repr itself is unaffected
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_fused_ops_equal_the_reference_composition(self, monkeypatch, heads):
+        # loss, every gradient, a few training steps and inference, bit for
+        # bit, against the same model run on matmul/add/reshape/softmax ops
+        import pelt.model
+        bundle = generate_corpus(CorpusConfig(n_entities=6, entity_slot_budget=60,
+                                              lookup_per_entity=2, zero_train_entities=1,
+                                              seed=3))
+        sentences = parse_corpus(bundle.train_lines, bundle.vocab)
+        config = ModelConfig(dim=48, layers=2, heads=heads, max_len=32,
+                             vocab_size=len(bundle.vocab), seed=3)
+        tokens, targets = synthetic_mlm_batch(config.vocab_size, batch=6, length=9, seed=3)
+        tokens[2, 6:] = PAD_ID
+        targets[2, 6:] = -1
+        seqs = [s.tokens for s in sentences[:40]]
+        positions = [len(s) // 2 for s in seqs]
+
+        def run():
+            params = init_params(config, np.float32)
+            loss = mlm_loss(params, config, tokens, targets)
+            loss.backward()
+            ckpt = train_mlm(sentences, config, steps=4, lr=3e-3, seed=3, log_every=0)
+            return ([loss.data] + [p.grad for _, p in params.items()]
+                    + [np.frombuffer(serialize_checkpoint(ckpt), np.uint8),
+                       masked_outputs(ckpt, seqs, positions)])
+
+        fused = run()
+        monkeypatch.setattr(pelt.model, "linear", reference_ops.linear)
+        monkeypatch.setattr(pelt.model, "attention", reference_ops.attention)
+        for got, want in zip(fused, run()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_tape_holds_the_fused_ops(self, monkeypatch):
+        # 36 op nodes for a 2-layer model: 12 per layer (6 linear, attention,
+        # 2 add, 2 layer_norm, gelu), 4 before the layers, 8 after; the
+        # unfused composition builds 75
+        import pelt.model
+        config = ModelConfig(dim=16, layers=2, heads=2, max_len=16, vocab_size=40, seed=1)
+        params = init_params(config, np.float32)
+        tokens, targets = synthetic_mlm_batch(40, batch=3, length=8, seed=1)
+        tokens[0, 5:], targets[0, 5:] = PAD_ID, -1
+        assert reference_ops.tape_ops(mlm_loss(params, config, tokens, targets)) == 36
+        monkeypatch.setattr(pelt.model, "linear", reference_ops.linear)
+        monkeypatch.setattr(pelt.model, "attention", reference_ops.attention)
+        assert reference_ops.tape_ops(mlm_loss(params, config, tokens, targets)) == 75
 
     def test_no_separate_output_matrix_exists(self, tiny):
         emb_like = [n for n, p in tiny.params.items()
@@ -434,6 +496,14 @@ class TestCheckpointIO:
         fp2 = fingerprint(tiny)
         tiny.params["emb.word"].data[0, 0] -= 1.0
         assert fp1 != fp2 and len(fp1) == 32
+
+    def test_packed_store_serializes_to_the_same_bytes(self):
+        ckpt = synthetic_checkpoint(dim=16, layers=2, heads=2, vocab_size=40,
+                                    max_len=16, seed=6, dtype=np.float32)
+        before = serialize_checkpoint(ckpt)
+        data, _ = ckpt.params.pack()
+        assert all(p.data.base is data for _, p in ckpt.params.items())
+        assert serialize_checkpoint(ckpt) == before
 
     def test_float64_checkpoint_serializes_as_f32(self):
         ckpt = synthetic_checkpoint(dim=8, layers=0, heads=2, vocab_size=12,

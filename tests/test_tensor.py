@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from pelt.errors import ContractError, ShapeError
 from pelt.gradcheck import grad_check
 from pelt.optim import Adam
-from pelt.tensor import (ParamStore, Tensor, _accum, _result, add, dot,
-                         gather_rows, gelu, layer_norm, matmul, mul, no_grad,
-                         reshape, softmax, softmax_cross_entropy, transpose)
+from pelt.tensor import (ParamStore, Tensor, _accum, _result, add,
+                         attention, dot, gather_rows, gelu, layer_norm, linear,
+                         matmul, no_grad, reshape, softmax_cross_entropy,
+                         transpose)
+
+import reference_ops as ref
+from reference_ops import mul, softmax, weighted_sum
 
 
 def tsum(a):
@@ -73,7 +77,7 @@ class TestMatmul:
         store = ParamStore()
         a = store.add("a", rng.normal(size=(2, 3, 4)))
         b = store.add("b", rng.normal(size=(2, 4, 3)))
-        err = grad_check(lambda: tsum(matmul(a, b)), store, h=1e-5, samples=20)
+        err = grad_check(lambda: tsum(ref.matmul(a, b)), store, h=1e-5, samples=20)
         assert err < 1e-4
 
 
@@ -323,3 +327,176 @@ class TestParamStore:
         for name in ("zz", "aa", "mm"):
             store.add(name, np.ones(1))
         assert store.names() == ["zz", "aa", "mm"]
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes(), f"max |diff| {np.abs(a - b).max():.3e}"
+
+
+def _padding_bias(b, n, dtype):
+    pad = np.zeros((b, n), dtype=bool)
+    pad[1, max(1, n - 2):] = True
+    pad[2, max(1, n - 1):] = True
+    return np.where(pad, -1e9, 0.0).astype(dtype)[:, None, None, :]
+
+
+class TestFusedOps:
+    """linear and attention against the composition they replace, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [16, 48, 64])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5)])
+    def test_linear_equals_matmul_plus_bias(self, dtype, d, shape):
+        rng = np.random.default_rng(d + len(shape))
+        arrays = {"x": rng.normal(size=shape + (d,)), "w": rng.normal(0, 0.2, (d, 4 * d)),
+                  "b": rng.normal(size=4 * d)}
+        upstream = rng.normal(size=shape + (4 * d,)).astype(dtype)
+
+        def run(op):
+            store = ParamStore()
+            t = {name: store.add(name, a.astype(dtype)) for name, a in arrays.items()}
+            out = op(t["x"], t["w"], t["b"])
+            weighted_sum(out, upstream).backward()
+            return [out.data] + [p.grad for _, p in store.items()]
+
+        for got, want in zip(run(linear), run(ref.linear)):
+            assert_bits(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [16, 48, 64])
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_attention_block_equals_composition(self, dtype, d, n, heads, padded):
+        # q, k, v and output projections of one input, plus the residual, so
+        # the input collects four gradients in the encoder's order
+        rng = np.random.default_rng(d * 100 + n * 10 + heads)
+        b = 3
+        arrays = {"x": rng.normal(size=(b, n, d))}
+        for c in "qkvo":
+            arrays["w" + c] = rng.normal(0, 0.3, (d, d))
+            arrays["b" + c] = rng.normal(0, 0.1, d)
+        bias = _padding_bias(b, n, dtype) if padded else None
+        upstream = rng.normal(size=(b, n, d)).astype(dtype)
+
+        def run(lin, att):
+            store = ParamStore()
+            t = {name: store.add(name, a.astype(dtype)) for name, a in arrays.items()}
+            q, k, v = (lin(t["x"], t["w" + c], t["b" + c]) for c in "qkv")
+            ctx = att(q, k, v, heads, bias)
+            out = add(t["x"], lin(ctx, t["wo"], t["bo"]))
+            weighted_sum(out, upstream).backward()
+            return [ctx.data, out.data] + [p.grad for _, p in store.items()]
+
+        for got, want in zip(run(linear, attention), run(ref.linear, ref.attention)):
+            assert_bits(got, want)
+
+    def test_linear_grad_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        store = ParamStore()
+        x = store.add("x", rng.normal(size=(2, 3, 6)))
+        w = store.add("w", rng.normal(size=(6, 5)))
+        b = store.add("b", rng.normal(size=5))
+        err = grad_check(lambda: tsum(mul(linear(x, w, b), linear(x, w, b))), store,
+                         h=1e-5, samples=60)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_attention_grad_matches_finite_differences(self, padded):
+        rng = np.random.default_rng(14)
+        store = ParamStore()
+        q, k, v = (store.add(name, rng.normal(size=(3, 5, 8))) for name in "qkv")
+        bias = _padding_bias(3, 5, np.float64) if padded else None
+        w = rng.normal(size=(3, 5, 8))
+        err = grad_check(lambda: tsum(mul(attention(q, k, v, 2, bias),
+                                          add(attention(q, k, v, 2, bias), w))),
+                         store, h=1e-5, samples=120)
+        assert err < 1e-4
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="linear"):
+            linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))), t64(np.zeros(5)))
+        with pytest.raises(ShapeError, match="linear"):
+            linear(t64(np.zeros((2, 3))), t64(np.zeros((3, 5))), t64(np.zeros(4)))
+        with pytest.raises(ShapeError, match="attention"):
+            x = t64(np.zeros((1, 2, 6)))
+            attention(x, x, x, 4)
+
+
+class TestInPlaceKernels:
+    """The in-place gelu and layer_norm against the expressions they replace."""
+
+    @given(st.sampled_from([16, 48, 64, 256]), st.sampled_from([np.float32, np.float64]),
+           st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_layer_norm_equals_mean_expression(self, d, dtype, rows, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(rng.normal(0, 3), rng.uniform(0.1, 5), (2, rows, d)).astype(dtype)
+        gain = rng.normal(1.0, 0.1, d).astype(dtype)
+        bias = rng.normal(0.0, 0.1, d).astype(dtype)
+        upstream = rng.normal(size=(2, rows, d)).astype(dtype)
+        store = ParamStore()
+        xt, gt, bt = (store.add(n, a.copy()) for n, a in (("x", x), ("g", gain), ("b", bias)))
+        out = layer_norm(xt, gt, bt, 1e-5)
+        weighted_sum(out, upstream).backward()
+        want = ref.layer_norm_arrays(x, gain, bias, 1e-5, upstream)
+        for got, expected in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+            assert_bits(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_equals_reference_expression(self, dtype):
+        rng = np.random.default_rng(15)
+        x = np.concatenate([rng.normal(0, s, 4000) for s in (0.1, 1.0, 4.0, 30.0)]).astype(dtype)
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = gelu(xt)
+        weighted_sum(out, upstream).backward()
+        want_out, want_grad = ref.gelu_arrays(x, upstream)
+        assert_bits(out.data, want_out)
+        assert_bits(xt.grad, want_grad)
+        assert_bits(xt.data, x)  # the input is not overwritten
+
+
+class TestFlatAdam:
+    def test_five_steps_equal_per_parameter_adam(self):
+        rng = np.random.default_rng(16)
+        shapes = [(6, 4), (4,), (9,), (3, 5), (1,)]
+        init = [rng.normal(size=s).astype(np.float32) for s in shapes]
+        store = ParamStore()
+        params = [store.add(f"p{i}", a.copy()) for i, a in enumerate(init)]
+        opt = Adam(store, lr=0.05)
+        assert all(p.data.base is params[0].data.base for p in params)
+        want = [a.copy() for a in init]
+        m = [np.zeros_like(a) for a in init]
+        v = [np.zeros_like(a) for a in init]
+        for t in range(1, 6):
+            grads = [rng.normal(size=s).astype(np.float32) for s in shapes]
+            store.zero_grad()
+            for p, g in zip(params, grads):
+                _accum(p, g)
+            opt.step(lr=0.05 * t / 5)
+            ref.adam_step(want, grads, m, v, t, 0.05 * t / 5)
+        for p, w in zip(params, want):
+            assert_bits(p.data, w)
+
+    def test_first_gradient_fills_the_slot_then_accumulates(self):
+        store = ParamStore()
+        p = store.add("p", np.zeros(3))
+        store.pack()
+        g = np.array([1.0, 2.0, 3.0])
+        _accum(p, g)
+        assert p.grad is not g and p.grad.base is not None
+        _accum(p, g)
+        npt.assert_array_equal(p.grad, 2 * g)
+        npt.assert_array_equal(g, [1.0, 2.0, 3.0])
+        store.zero_grad()
+        assert p.grad is None
+
+    def test_mixed_dtypes_not_packed(self):
+        store = ParamStore()
+        store.add("a", np.ones(2, dtype=np.float32))
+        store.add("b", np.ones(2, dtype=np.float64))
+        with pytest.raises(ContractError, match="mixed dtypes"):
+            Adam(store)
