@@ -131,6 +131,8 @@ def _cmd_train(args):
 
 
 def _cmd_build_table(args):
+    if args.entities and "" in args.entities.split(","):
+        raise UsageError(f"bad --entities value {args.entities!r}: an entity id is empty")
     ckpt = ckpt_io.load_checkpoint(args.ckpt)
     data = _load_data_dir(args.data, need=("vocab", "catalog", args.source), ckpt=ckpt)
     sentences = corpus_mod.parse_corpus(data[args.source], data["vocab"])

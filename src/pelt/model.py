@@ -12,7 +12,8 @@ encoded once by encode(), one unpadded no-grad pass per sequence length
 whose last layer runs past attention on the masked rows only; output_repr()
 is the head over a stack of rows. No result depends on the batching.
 Training (mlm_loss) and inference run the same encoder, built from the
-fused tape ops: six ``linear`` and one ``attention`` node per layer.
+fused tape ops: six ``linear`` and one ``attention`` node per layer. mlm_loss
+runs GELU on real tokens only, and in the last layer on masked ones only.
 """
 
 import time
@@ -100,10 +101,11 @@ def init_params(config, dtype=np.float32):
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _encoder(params, cfg, x, attn_bias, rows=None):
+def _encoder(params, cfg, x, attn_bias, rows=None, live=None):
     """H = Enc(LayerNorm(x + P)); x is (B, n, D) input features. With
     ``rows`` (flat indices into the B*n positions) only those rows return,
-    and for n > 1 the last layer runs them alone past attention."""
+    and for n > 1 the last layer runs them alone past attention. Layer i runs
+    its GELU on the flat rows ``live[i]`` only: no other row may reach a loss."""
     b, n = x.shape[:2]
     last = cfg.layers - 1 if rows is not None and n > 1 else -1
     pos = gather_rows(params["emb.pos"], np.arange(n))
@@ -117,7 +119,7 @@ def _encoder(params, cfg, x, attn_bias, rows=None):
             ctx, h = (gather_rows(reshape(t, (b * n, cfg.dim)), rows) for t in (ctx, h))
         out = linear(ctx, params[pre + "attn.wo"], params[pre + "attn.bo"])
         h = layer_norm(add(h, out), params[pre + "ln1.g"], params[pre + "ln1.b"], cfg.ln_eps)
-        f = gelu(linear(h, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
+        f = gelu(linear(h, params[pre + "ffn.w1"], params[pre + "ffn.b1"]), live and live[i])
         f = linear(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
         h = layer_norm(add(h, f), params[pre + "ln2.g"], params[pre + "ln2.b"], cfg.ln_eps)
     if rows is not None and last < 0:
@@ -247,8 +249,8 @@ def mlm_loss(params, cfg, tokens, targets):
     emb = params["emb.word"]
     pad = tokens == PAD_ID  # masked out of attention as keys by a -1e9 bias
     bias = np.where(pad, -1e9, 0.0).astype(emb.data.dtype)[:, None, None, :] if pad.any() else None
-    x = gather_rows(emb, tokens)
-    h = _encoder(params, cfg, x, bias)
+    live = [None if bias is None else np.flatnonzero(~pad)] * (cfg.layers - 1) + [sel]
+    h = _encoder(params, cfg, gather_rows(emb, tokens), bias, live=live)
     h_flat = reshape(h, (tokens.shape[0] * tokens.shape[1], cfg.dim))
     h_sel = gather_rows(h_flat, sel)
     r = _head(params, cfg, h_sel)
@@ -290,6 +292,8 @@ def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
         raise ContractError("train corpus is empty")
     if steps < 0 or batch_size < 1:
         raise ContractError(f"need steps >= 0 and batch_size >= 1, got {steps} and {batch_size}")
+    if not (0 < lr < np.inf and 0 < mask_rate <= 1):
+        raise ConfigError(f"need 0 < lr < inf and 0 < mask_rate <= 1, got {lr} and {mask_rate}")
     params = init_params(config, np.float32)
     seqs = [np.asarray(s.tokens, dtype=np.int64) for s in sentences]
     for seq in seqs:

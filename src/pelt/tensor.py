@@ -8,20 +8,20 @@ Broadcasting is restricted to trailing-dimension (bias style) addition to
 keep the kernel auditable. The fused ``linear`` and ``attention`` make the
 numpy calls of the matmul/add/reshape/transpose/softmax composition they
 replace, on the same operand layouts, so their bits are the composition's;
-``gelu`` and ``layer_norm`` work in place. ``ParamStore.pack`` gives the
-parameters one contiguous buffer and their gradients one more.
+``gelu`` (on every row, or on chosen rows only) and ``layer_norm`` work in
+place. ``ParamStore.pack`` gives the parameters one buffer, their gradients one more.
 """
 
 import contextlib
 
 import numpy as np
-from scipy.special import erf
 
 from pelt.errors import ContractError, ShapeError
 
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 
 _grad_enabled = True
+_erf = None  # scipy.special.erf, most of pelt's import time: the first gelu imports it
 
 
 @contextlib.contextmanager
@@ -285,14 +285,23 @@ def gather_rows(table, indices):
     return _result(data, (table,), backward)
 
 
-def gelu(a):
-    """Exact (erf) GELU."""
-    x = a.data
+def _scatter(part, rows, shape):
+    out = np.zeros(shape, dtype=part.dtype)
+    out.reshape(-1, shape[-1])[rows] = part
+    return out
+
+
+def gelu(a, rows=None):
+    """Exact (erf) GELU; with flat leading-axes ``rows``, on those rows only (zero elsewhere)."""
+    global _erf
+    if _erf is None:
+        from scipy.special import erf as _erf
+    x = a.data if rows is None else a.data.reshape(-1, a.shape[-1])[rows]
     cdf = x / np.sqrt(2.0, dtype=x.dtype)
-    erf(cdf, out=cdf)
+    _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    data = x * cdf
+    data = x * cdf if rows is None else _scatter(x * cdf, rows, a.shape)
 
     def backward(g):
         d = x * -0.5
@@ -304,8 +313,8 @@ def gelu(a):
         d *= x
         d += cdf
         d = d.astype(x.dtype, copy=False)
-        d *= g
-        _accum(a, d)
+        d *= g if rows is None else g.reshape(-1, g.shape[-1])[rows]
+        _accum(a, d if rows is None else _scatter(d, rows, a.shape))
 
     return _result(data, (a,), backward)
 

@@ -299,14 +299,18 @@ class TestUsageAndConfig:
     @pytest.mark.parametrize("flag,value", [("--heads", "0"), ("--dim", "0"),
                                             ("--ffn-mult", "0"), ("--ln-eps", "-1"),
                                             ("--batch", "0"), ("--steps", "-1"),
-                                            ("--seed", "-1")])
+                                            ("--seed", "-1"), ("--lr", "nan"),
+                                            ("--lr", "inf"), ("--lr", "-inf"),
+                                            ("--lr", "-1"), ("--lr", "0"),
+                                            ("--mask-rate", "1.5"), ("--mask-rate", "0"),
+                                            ("--mask-rate", "nan")])
     def test_out_of_range_train_value_exits_1(self, pipeline, tmp_path, capsys,
                                               flag, value):
         _, data, _ = pipeline
         out = tmp_path / "m.bin"
         rc = main(["train", "--data", data, "--out", str(out), "--steps", "2",
                    "--dim", "8", "--heads", "2", "--maxlen", "40", "--log-every", "0",
-                   flag, value])
+                   f"{flag}={value}"])  # "=": argparse reads a lone "-inf" as a flag
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
@@ -418,6 +422,16 @@ class TestUsageAndConfig:
         assert err == (f"error: vocabulary of {size + 1} tokens in {copy}, "
                        f"checkpoint expects {size}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("entities", [",", "a,,b", "ent_absent,"])
+    def test_empty_entity_id_exits_2(self, pipeline, tmp_path, capsys, entities):
+        _, data, ckpt = pipeline
+        out = tmp_path / "t.bin"
+        assert main(["build-table", "--ckpt", ckpt, "--data", data, "--out", str(out),
+                     "--entities", entities]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "empty" in captured.err and not captured.out and not out.exists()
 
     # Under pytest a library warning is recorded, not printed; as an error it
     # reaches main, so a warning and any stray stderr line both fail here.

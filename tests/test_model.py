@@ -1,6 +1,8 @@
 """Encoder, MLM loss, training determinism, prediction, checkpoint io."""
 
 import dataclasses
+import importlib.util
+import pathlib
 import struct
 
 import numpy as np
@@ -11,8 +13,10 @@ from pelt.checkpoint import (deserialize_checkpoint, fingerprint,
                              load_checkpoint, save_checkpoint,
                              serialize_checkpoint)
 from pelt.corpus import CorpusConfig, generate_corpus, parse_corpus
+from pelt import tensor
 from pelt.errors import (ConfigError, ContractError, CorruptionError,
                          FormatError, LengthError)
+from pelt.gradcheck import grad_check
 from pelt.model import (Checkpoint, ModelConfig, encode,
                         init_params, masked_outputs, mlm_loss, output_repr,
                         predict_topk, train_mlm)
@@ -20,6 +24,15 @@ from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch
 from pelt.vocab import MASK_ID, PAD_ID
 
 import reference_ops
+
+
+def _bench_reference():
+    """bench/reference.py, the float64 model written apart from the package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +371,63 @@ class TestMlmLoss:
         monkeypatch.setattr(pelt.model, "attention", reference_ops.attention)
         assert reference_ops.tape_ops(mlm_loss(params, config, tokens, targets)) == 75
 
+    def test_gelu_runs_on_the_rows_the_loss_reads(self, tiny, monkeypatch):
+        import pelt.model
+        seen = []
+
+        def spy(a, rows=None):
+            seen.append(None if rows is None else list(rows))
+            return tensor.gelu(a, rows)
+
+        monkeypatch.setattr(pelt.model, "gelu", spy)
+        tokens = np.array([[5, MASK_ID, 7, 8], [9, 6, MASK_ID, PAD_ID]])
+        targets = np.array([[-1, 6, -1, -1], [-1, -1, 11, -1]])
+        mlm_loss(tiny.params, tiny.config, tokens, targets)
+        # layer 0: the real rows; layer 1: the masked rows; the head: all of its rows
+        assert seen == [[0, 1, 2, 3, 4, 5, 6], [1, 6], None]
+        seen.clear()
+        mlm_loss(tiny.params, tiny.config, tokens[:1], targets[:1])
+        assert seen == [None, [1], None]  # no padding: every row below the last layer
+
+    def test_grad_check_on_a_padded_batch(self):
+        ckpt = synthetic_checkpoint(dim=16, layers=2, heads=2, vocab_size=30,
+                                    max_len=8, seed=6, dtype=np.float64)
+        tokens, targets = synthetic_mlm_batch(30, batch=3, length=7, masks_per_row=3, seed=6)
+        tokens[0, 4:], targets[0, 4:] = PAD_ID, -1
+        tokens[2, 2:], targets[2, 2:] = PAD_ID, -1
+        err = grad_check(lambda: mlm_loss(ckpt.params, ckpt.config, tokens, targets),
+                         ckpt.params, h=1e-5, samples=300, seed=2)
+        assert err < 1e-5
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_equals_the_float64_reference_one_sequence_at_a_time(self, layers):
+        # the loss of a padded batch is the mean cross entropy that the
+        # independent reference model gives each unpadded sequence alone
+        ref = _bench_reference()
+        ckpt = synthetic_checkpoint(dim=16, layers=layers, heads=2, vocab_size=40,
+                                    max_len=12, seed=8, dtype=np.float64)
+        rng = np.random.default_rng(8)
+        for _, p in ckpt.params.items():
+            p.data += rng.normal(0.0, 0.3, p.shape)  # away from the near-uniform init
+        lens = [10, 7, 3, 10, 1]
+        tokens = rng.integers(5, 40, (len(lens), 10))
+        targets = np.full(tokens.shape, -1)
+        for row, n in enumerate(lens):
+            picks = rng.choice(n, size=min(2, n), replace=False)
+            targets[row, picks] = tokens[row, picks]
+            tokens[row, picks] = MASK_ID
+            tokens[row, n:] = PAD_ID
+        model = ref.ReferenceModel(dataclasses.asdict(ckpt.config),
+                                   {n: p.data for n, p in ckpt.params.items()})
+        losses = []
+        for row, n in enumerate(lens):
+            for j in np.flatnonzero(targets[row] >= 0):
+                logits = model.logits(model.masked_repr(tokens[row, :n].tolist(), j))
+                top = logits.max()
+                losses.append(top + np.log(np.exp(logits - top).sum()) - logits[targets[row, j]])
+        got = mlm_loss(ckpt.params, ckpt.config, tokens, targets).item()
+        assert abs(got - np.mean(losses)) < 1e-12
+
     def test_no_separate_output_matrix_exists(self, tiny):
         emb_like = [n for n, p in tiny.params.items()
                     if p.data.shape == (tiny.config.vocab_size, tiny.config.dim)]
@@ -382,6 +452,36 @@ class TestTrain:
         config = ModelConfig(dim=16, layers=1, heads=2, vocab_size=10)
         with pytest.raises(ContractError):
             train_mlm([], config, steps=1, lr=1e-3)
+
+    @pytest.mark.parametrize("batch", [1, 5, 32])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_gelu_on_live_rows_leaves_the_checkpoint_bytes(self, monkeypatch, batch, layers):
+        import pelt.model
+        bundle = generate_corpus(CorpusConfig(n_entities=6, entity_slot_budget=60,
+                                              lookup_per_entity=2, zero_train_entities=1,
+                                              seed=4))
+        sentences = parse_corpus(bundle.train_lines, bundle.vocab)
+        config = ModelConfig(dim=32, layers=layers, heads=2, max_len=32,
+                             vocab_size=len(bundle.vocab), seed=4)
+
+        def run():
+            ckpt = train_mlm(sentences, config, steps=5, lr=3e-3, seed=4,
+                             batch_size=batch, log_every=0)
+            return serialize_checkpoint(ckpt)
+
+        live = run()
+        monkeypatch.setattr(pelt.model, "gelu", lambda a, rows=None: tensor.gelu(a))
+        assert live == run()
+
+    @pytest.mark.parametrize("lr,mask_rate", [(float("nan"), 0.15), (float("inf"), 0.15),
+                                              (-float("inf"), 0.15), (-1e-3, 0.15),
+                                              (0.0, 0.15), (1e-3, 0.0), (1e-3, 1.5),
+                                              (1e-3, float("nan"))])
+    def test_bad_lr_or_mask_rate_rejected(self, trained_bits, lr, mask_rate):
+        _, sentences, _ = trained_bits
+        config = ModelConfig(dim=16, layers=1, heads=2, max_len=32, vocab_size=64)
+        with pytest.raises(ConfigError, match="0 < lr < inf and 0 < mask_rate <= 1"):
+            train_mlm(sentences, config, steps=1, lr=lr, mask_rate=mask_rate)
 
     @pytest.mark.parametrize("steps,batch", [(-1, 32), (1, 0)])
     def test_negative_steps_or_empty_batch_rejected(self, trained_bits, steps, batch):

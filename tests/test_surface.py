@@ -1,7 +1,11 @@
-"""Every public name in src/pelt has a caller, and every import is used."""
+"""Every public name in src/pelt has a caller, every import is used, and
+importing the CLI leaves scipy.special unloaded."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -56,3 +60,11 @@ def test_every_import_is_used(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - read)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special is most of the CLI's start-up; gelu loads it on first use
+    code = "import sys, pelt.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"

@@ -458,6 +458,26 @@ class TestInPlaceKernels:
         assert_bits(xt.grad, want_grad)
         assert_bits(xt.data, x)  # the input is not overwritten
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [16, 48, 64])
+    @pytest.mark.parametrize("rows", [[], [7], [0, 4, 5, 11, 14], list(range(15))],
+                             ids=["none", "one", "some", "all"])
+    def test_gelu_on_rows_is_full_gelu_there_and_zero_elsewhere(self, dtype, d, rows):
+        rng = np.random.default_rng(d)
+        x = rng.normal(0, 2, (3, 5, d)).astype(dtype)
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        live = np.zeros((3, 5), dtype=bool)
+        live.reshape(-1)[rows] = True
+        full_t, xt = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        full, out = gelu(full_t), gelu(xt, np.asarray(rows, dtype=np.intp))
+        weighted_sum(full, upstream).backward()
+        weighted_sum(out, upstream).backward()
+        for got, want in ((out.data, full.data), (xt.grad, full_t.grad)):
+            assert_bits(got[live], want[live])
+            assert got.dtype == dtype and got.shape == x.shape
+            assert_bits(got[~live], np.zeros_like(got[~live]))
+        assert_bits(xt.data, x)
+
 
 class TestFlatAdam:
     def test_five_steps_equal_per_parameter_adam(self):
