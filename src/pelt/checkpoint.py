@@ -5,17 +5,20 @@ Little-endian layout: magic "PELTCKPT", u32 format version, config block
 u64 seed), metadata (u64 step, u64 train_seed, f64 final_loss), u32
 parameter count, then per parameter: u32 name length, UTF-8 name bytes, u32
 rank (1 or 2), u32 dims, f32 data. Weights are always stored as 32-bit floats.
+The parameters are exactly model.param_layout(config), in its order; a loader
+refuses any other count, name, order or shape.
 """
 
 import hashlib
 import io
+import itertools
 import math
 import struct
 
 import numpy as np
 
-from pelt.errors import CorruptionError, FormatError
-from pelt.model import Checkpoint, ModelConfig
+from pelt.errors import ConfigError, CorruptionError, FormatError
+from pelt.model import Checkpoint, ModelConfig, param_layout
 from pelt.tensor import ParamStore
 
 MAGIC = b"PELTCKPT"
@@ -91,19 +94,28 @@ def deserialize_checkpoint(data, label="checkpoint"):
     (ln_eps,) = r.unpack("<d")
     (seed,) = r.unpack("<Q")
     step, train_seed, final_loss = r.unpack("<QQd")
-    cfg = ModelConfig(dim, layers, heads, ffn_mult, max_len, vocab_size,
-                      float(ln_eps), seed)
+    try:
+        cfg = ModelConfig(dim, layers, heads, ffn_mult, max_len, vocab_size,
+                          float(ln_eps), seed)
+    except ConfigError as err:
+        raise FormatError(f"{label}: {err}") from None
     (count,) = r.unpack("<I")
     params = ParamStore()
-    for _ in range(count):
+    layout = param_layout(cfg)
+    for want in itertools.islice(layout, count):
         name = r.text()
         (rank,) = r.unpack("<I")
         if rank not in (1, 2):
             raise FormatError(f"{label}: parameter {name!r} has rank {rank}, not 1 or 2")
         shape = r.unpack(f"<{rank}I")
+        if (name, shape) != want:
+            raise FormatError(f"{label}: parameter {len(params)} is {name!r} {shape}, "
+                              f"its config lays out {want[0]!r} {want[1]}")
         n = math.prod(shape)
         arr = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape).copy()
         params.add(name, arr)
+    if len(params) < count or next(layout, None) is not None:
+        raise FormatError(f"{label}: {count} parameters, not the number its config lays out")
     r.done()
     return Checkpoint(cfg, params, step, train_seed, float(final_loss))
 

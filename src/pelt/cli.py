@@ -28,7 +28,7 @@ from pelt import probe as probe_mod
 from pelt import table as table_mod
 from pelt.cloze import load_cloze
 from pelt.corpus import CorpusConfig
-from pelt.errors import ConfigError, PeltError, UsageError
+from pelt.errors import ConfigError, PeltError, UsageError, read_lines
 from pelt.gradcheck import grad_check
 from pelt.linker import link_document_rows, load_page_graph
 from pelt.model import ModelConfig
@@ -38,15 +38,14 @@ from pelt.vocab import Vocabulary
 
 def _read_config_file(path):
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for raw in f:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}: config lines must be key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for raw in read_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}: config lines must be key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from pelt.errors import FormatError
+from pelt.errors import FormatError, read_lines
 
 CLOZE_HEADER = "query\tsubject\tanswer\trelation\tsubject_freq"
 
@@ -31,8 +31,7 @@ def save_cloze(queries, path):
 
 
 def load_cloze(path):
-    with open(path, encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f]
+    lines = read_lines(path)
     if not lines or lines[0] != CLOZE_HEADER:
         raise FormatError(f"{path}: missing cloze header line")
     queries = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pelt.cloze import ClozeQuery, save_cloze
-from pelt.errors import ConfigError, ContractError, FormatError
+from pelt.errors import ConfigError, ContractError, FormatError, read_lines
 from pelt.vocab import MASK_ID, UNK_ID, Vocabulary, tokenize
 
 MENTION_RE = re.compile(r"\[\[([^|\]]+)\|([^\]]+)\]\]")
@@ -197,8 +197,7 @@ class EntityCatalog:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f]
+        lines = read_lines(path)
         if not lines or not lines[0].startswith("id\t"):
             raise FormatError(f"{path}: missing catalog header")
         entries = []
@@ -266,8 +265,7 @@ def parse_corpus(lines, vocab):
 
 
 def read_corpus_file(path):
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f if line.strip()]
+    return [line for line in read_lines(path) if line.strip()]
 
 
 def strip_markup(line):

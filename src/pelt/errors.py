@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader
+that turns undecodable bytes into one of them."""
 
 
 class PeltError(Exception):
@@ -59,3 +60,13 @@ class NoOccurrencesError(PeltError):
 
 class DegenerateDirectionError(PeltError):
     """The summed output representations have zero norm."""
+
+
+def read_lines(path):
+    """The lines of a UTF-8 text file, newlines stripped; FormatError naming
+    the path if its bytes are not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None

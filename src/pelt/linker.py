@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from pelt.corpus import MENTION_RE
-from pelt.errors import ConfigError, FormatError
+from pelt.errors import ConfigError, FormatError, read_lines
 
 CANDIDATE_RE = re.compile(r"\{\{([^}]+)\}\}")
 
@@ -77,34 +77,32 @@ def load_page_graph(path):
     pages = {}
     edges = []
     docs = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            kind = parts[0]
-            if kind == "PAGE":
-                if len(parts) < 3:
-                    raise FormatError(f"{path}:{lineno}: PAGE needs id and title")
-                pid, title = parts[1], parts[2]
-                aliases = frozenset(normalize_alias(a) for a in parts[2:] if a.strip())
-                pages[pid] = Page(pid, title, aliases)
-            elif kind == "EDGE":
-                if len(parts) != 4:
-                    raise FormatError(f"{path}:{lineno}: EDGE needs src, dst, kind")
-                edges.append((parts[1], parts[2], parts[3]))
-            elif kind == "DOC":
-                if len(parts) < 3:
-                    raise FormatError(f"{path}:{lineno}: DOC needs id and text")
-                text = "\t".join(parts[2:])
-                anchors = tuple(Anchor(m.group(1), m.group(2))
-                                for m in MENTION_RE.finditer(text))
-                candidates = tuple(Candidate(i, m.group(1))
-                                   for i, m in enumerate(CANDIDATE_RE.finditer(text)))
-                docs.append(Document(parts[1], anchors, candidates))
-            else:
-                raise FormatError(f"{path}:{lineno}: unknown record type {kind!r}")
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        kind = parts[0]
+        if kind == "PAGE":
+            if len(parts) < 3:
+                raise FormatError(f"{path}:{lineno}: PAGE needs id and title")
+            pid, title = parts[1], parts[2]
+            aliases = frozenset(normalize_alias(a) for a in parts[2:] if a.strip())
+            pages[pid] = Page(pid, title, aliases)
+        elif kind == "EDGE":
+            if len(parts) != 4:
+                raise FormatError(f"{path}:{lineno}: EDGE needs src, dst, kind")
+            edges.append((parts[1], parts[2], parts[3]))
+        elif kind == "DOC":
+            if len(parts) < 3:
+                raise FormatError(f"{path}:{lineno}: DOC needs id and text")
+            text = "\t".join(parts[2:])
+            anchors = tuple(Anchor(m.group(1), m.group(2))
+                            for m in MENTION_RE.finditer(text))
+            candidates = tuple(Candidate(i, m.group(1))
+                               for i, m in enumerate(CANDIDATE_RE.finditer(text)))
+            docs.append(Document(parts[1], anchors, candidates))
+        else:
+            raise FormatError(f"{path}:{lineno}: unknown record type {kind!r}")
     return PageGraph(pages, edges, docs)
 
 

@@ -12,8 +12,9 @@ encoded once by encode(), one unpadded no-grad pass per sequence length
 whose last layer runs past attention on the masked rows only; output_repr()
 is the head over a stack of rows. No result depends on the batching.
 Training (mlm_loss) and inference run the same encoder, built from the
-fused tape ops: six ``linear`` and one ``attention`` node per layer. mlm_loss
-runs GELU on real tokens only, and in the last layer on masked ones only.
+fused tape ops: six ``linear`` and one ``attention`` node per layer, and the
+tied head's loss is one ``tied_cross_entropy`` node. mlm_loss runs GELU on
+real tokens only, and in the last layer on masked ones only.
 """
 
 import time
@@ -25,8 +26,7 @@ from pelt.errors import (ConfigError, ContractError, DivergenceError,
                          LengthError, ShapeError)
 from pelt.optim import Adam
 from pelt.tensor import (ParamStore, Tensor, add, attention, gather_rows,
-                         gelu, layer_norm, linear, matmul, no_grad, reshape,
-                         softmax_cross_entropy, transpose)
+                         gelu, layer_norm, linear, no_grad, tied_cross_entropy)
 from pelt.vocab import MASK_ID, PAD_ID
 
 _MASKED_SLICE = 64
@@ -63,37 +63,33 @@ class Checkpoint:
     final_loss: float = float("nan")
 
 
-def init_params(config, dtype=np.float32):
-    """Fresh parameters, seeded; insertion order fixes serialization order."""
-    rng = np.random.default_rng(config.seed)
-    d, std = config.dim, 0.02
-
-    def normal(*shape):
-        return rng.normal(0.0, std, shape).astype(dtype)
-
-    p = ParamStore()
-    p.add("emb.word", normal(config.vocab_size, d))
-    p.add("emb.pos", normal(config.max_len, d))
-    p.add("emb.ln.g", np.ones(d, dtype=dtype))
-    p.add("emb.ln.b", np.zeros(d, dtype=dtype))
+def param_layout(config):
+    """(name, shape) of every parameter, in the order init_params adds them
+    and a checkpoint stores them; drawn from no random generator."""
+    d, f = config.dim, config.dim * config.ffn_mult
+    yield from (("emb.word", (config.vocab_size, d)), ("emb.pos", (config.max_len, d)),
+                ("emb.ln.g", (d,)), ("emb.ln.b", (d,)))
     for i in range(config.layers):
         pre = f"layer{i}."
-        for name in ("wq", "wk", "wv", "wo"):
-            p.add(pre + "attn." + name, normal(d, d))
-        for name in ("bq", "bk", "bv", "bo"):
-            p.add(pre + "attn." + name, np.zeros(d, dtype=dtype))
-        p.add(pre + "ln1.g", np.ones(d, dtype=dtype))
-        p.add(pre + "ln1.b", np.zeros(d, dtype=dtype))
-        p.add(pre + "ffn.w1", normal(d, d * config.ffn_mult))
-        p.add(pre + "ffn.b1", np.zeros(d * config.ffn_mult, dtype=dtype))
-        p.add(pre + "ffn.w2", normal(d * config.ffn_mult, d))
-        p.add(pre + "ffn.b2", np.zeros(d, dtype=dtype))
-        p.add(pre + "ln2.g", np.ones(d, dtype=dtype))
-        p.add(pre + "ln2.b", np.zeros(d, dtype=dtype))
-    p.add("head.w", normal(d, d))
-    p.add("head.b", np.zeros(d, dtype=dtype))
-    p.add("head.ln.g", np.ones(d, dtype=dtype))
-    p.add("head.ln.b", np.zeros(d, dtype=dtype))
+        yield from ((f"{pre}attn.w{c}", (d, d)) for c in "qkvo")
+        yield from ((f"{pre}attn.b{c}", (d,)) for c in "qkvo")
+        yield from ((pre + "ln1.g", (d,)), (pre + "ln1.b", (d,)),
+                    (pre + "ffn.w1", (d, f)), (pre + "ffn.b1", (f,)),
+                    (pre + "ffn.w2", (f, d)), (pre + "ffn.b2", (d,)),
+                    (pre + "ln2.g", (d,)), (pre + "ln2.b", (d,)))
+    yield from (("head.w", (d, d)), ("head.b", (d,)), ("head.ln.g", (d,)), ("head.ln.b", (d,)))
+
+
+def init_params(config, dtype=np.float32):
+    """Fresh parameters in param_layout's order: each matrix drawn from
+    N(0, 0.02^2) in that order, each LayerNorm gain one, every bias zero."""
+    rng = np.random.default_rng(config.seed)
+    p = ParamStore()
+    for name, shape in param_layout(config):
+        if len(shape) == 2:
+            p.add(name, rng.normal(0.0, 0.02, shape).astype(dtype))
+        else:
+            p.add(name, (np.ones if name.endswith(".g") else np.zeros)(shape, dtype=dtype))
     return p
 
 
@@ -106,7 +102,7 @@ def _encoder(params, cfg, x, attn_bias, rows=None, live=None):
     ``rows`` (flat indices into the B*n positions) only those rows return,
     and for n > 1 the last layer runs them alone past attention. Layer i runs
     its GELU on the flat rows ``live[i]`` only: no other row may reach a loss."""
-    b, n = x.shape[:2]
+    n = x.shape[1]
     last = cfg.layers - 1 if rows is not None and n > 1 else -1
     pos = gather_rows(params["emb.pos"], np.arange(n))
     h = layer_norm(add(x, pos), params["emb.ln.g"], params["emb.ln.b"], cfg.ln_eps)
@@ -116,14 +112,14 @@ def _encoder(params, cfg, x, attn_bias, rows=None, live=None):
                    for c in "qkv")
         ctx = attention(q, k, v, cfg.heads, attn_bias)
         if i == last:
-            ctx, h = (gather_rows(reshape(t, (b * n, cfg.dim)), rows) for t in (ctx, h))
+            ctx, h = gather_rows(ctx, rows), gather_rows(h, rows)
         out = linear(ctx, params[pre + "attn.wo"], params[pre + "attn.bo"])
         h = layer_norm(add(h, out), params[pre + "ln1.g"], params[pre + "ln1.b"], cfg.ln_eps)
         f = gelu(linear(h, params[pre + "ffn.w1"], params[pre + "ffn.b1"]), live and live[i])
         f = linear(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
         h = layer_norm(add(h, f), params[pre + "ln2.g"], params[pre + "ln2.b"], cfg.ln_eps)
     if rows is not None and last < 0:
-        h = gather_rows(reshape(h, (b * n, cfg.dim)), rows)
+        h = gather_rows(h, rows)
     return h
 
 
@@ -251,11 +247,7 @@ def mlm_loss(params, cfg, tokens, targets):
     bias = np.where(pad, -1e9, 0.0).astype(emb.data.dtype)[:, None, None, :] if pad.any() else None
     live = [None if bias is None else np.flatnonzero(~pad)] * (cfg.layers - 1) + [sel]
     h = _encoder(params, cfg, gather_rows(emb, tokens), bias, live=live)
-    h_flat = reshape(h, (tokens.shape[0] * tokens.shape[1], cfg.dim))
-    h_sel = gather_rows(h_flat, sel)
-    r = _head(params, cfg, h_sel)
-    logits = matmul(r, transpose(emb))
-    return softmax_cross_entropy(logits, flat_targets[sel])
+    return tied_cross_entropy(_head(params, cfg, gather_rows(h, sel)), emb, flat_targets[sel])
 
 
 def _lr_schedule(base, step, steps):

@@ -146,7 +146,7 @@ def surrogate_gradient_deviation(r_vectors, emb_rows, seed=0):
     """
     from scipy.special import logsumexp
 
-    from pelt.tensor import Tensor, add, dot
+    from pelt.tensor import Tensor, linear
 
     r = np.asarray(r_vectors, dtype=np.float64)
     emb = np.asarray(emb_rows, dtype=np.float64)
@@ -155,12 +155,9 @@ def surrogate_gradient_deviation(r_vectors, emb_rows, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(_PROBE_POINTS):
-        point = Tensor(rng.normal(0.0, 1.0, r.shape[1]), requires_grad=True)
-        loss = None
-        for i in range(r.shape[0]):
-            term = add(dot(point, Tensor(-r[i])), float(log_z[i]))
-            loss = term if loss is None else add(loss, term)
-        loss.backward()
+        point = Tensor(rng.normal(0.0, 1.0, (1, r.shape[1])), requires_grad=True)
+        terms = linear(point, Tensor(-r.T), Tensor(log_z))  # (1, m) per-occurrence losses
+        linear(terms, Tensor(np.ones((r.shape[0], 1))), Tensor(np.zeros(1))).backward()
         worst = max(worst, float(np.max(np.abs(point.grad - target))))
     return worst
 

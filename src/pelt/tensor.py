@@ -5,11 +5,13 @@ Each operation links its result to its inputs through a backward closure;
 one forward pass builds exactly one tape. float32 is the training dtype,
 float64 the test / gradient-check dtype; dtypes never mix inside a graph.
 Broadcasting is restricted to trailing-dimension (bias style) addition to
-keep the kernel auditable. The fused ``linear`` and ``attention`` make the
-numpy calls of the matmul/add/reshape/transpose/softmax composition they
-replace, on the same operand layouts, so their bits are the composition's;
-``gelu`` (on every row, or on chosen rows only) and ``layer_norm`` work in
-place. ``ParamStore.pack`` gives the parameters one buffer, their gradients one more.
+keep the kernel auditable. The module holds only the ops the model runs.
+The fused ``linear``, ``attention`` and ``tied_cross_entropy`` make the
+numpy calls of the generic matmul/add/reshape/transpose/softmax composition
+they replace, on the same operand layouts, so their bits are the
+composition's; ``gelu`` (on every row, or on chosen rows only) and
+``layer_norm`` work in place. ``ParamStore.pack`` gives the parameters one
+buffer, their gradients one more.
 """
 
 import contextlib
@@ -132,22 +134,6 @@ def _check_same_dtype(*tensors):
     return dt
 
 
-def matmul(a, b):
-    """Product of (..., D) rows with a 2-D (D, N) matrix."""
-    _check_same_dtype(a, b)
-    if b.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: need (..., D) x (D, N), got {a.shape} x {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-
-    return _result(data, (a, b), backward)
-
-
 def linear(x, w, b):
     """x @ w + b for (..., D) rows, a (D, N) weight and an (N,) bias."""
     _check_same_dtype(x, w, b)
@@ -204,82 +190,39 @@ def attention(q, k, v, heads, bias=None):
 
 
 def add(a, b):
-    """a + b. b may be a Tensor (same shape or trailing-dims bias) or a constant."""
-    if isinstance(b, Tensor):
-        _check_same_dtype(a, b)
-        if b.shape != a.shape and a.shape[a.ndim - b.ndim:] != b.shape:
-            raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not line up")
-        data = a.data + b.data
-
-        def backward(g):
-            if a.requires_grad:
-                _accum(a, g, owned=False)
-            if b.requires_grad:
-                gb = g
-                while gb.ndim > b.ndim:
-                    gb = gb.sum(axis=0)
-                _accum(b, gb, owned=gb is not g)
-
-        return _result(data, (a, b), backward)
-
-    data = a.data + np.asarray(b, dtype=a.data.dtype)
-    if data.shape != a.data.shape:
-        raise ShapeError(f"add: constant of shape {np.shape(b)} broadcast past {a.shape}")
-
-    def backward_const(g):
-        _accum(a, g, owned=False)
-
-    return _result(data, (a,), backward_const)
-
-
-def dot(a, b):
-    """Inner product of two 1-D tensors."""
+    """a + b for a Tensor b of a's shape or of its trailing dims (a bias)."""
     _check_same_dtype(a, b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot: need equal 1-D shapes, got {a.shape} and {b.shape}")
-    data = np.asarray(a.data @ b.data)
+    if b.shape != a.shape and a.shape[a.ndim - b.ndim:] != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not line up")
+    data = a.data + b.data
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, g * b.data)
+            _accum(a, g, owned=False)
         if b.requires_grad:
-            _accum(b, g * a.data)
+            gb = g
+            while gb.ndim > b.ndim:
+                gb = gb.sum(axis=0)
+            _accum(b, gb, owned=gb is not g)
 
     return _result(data, (a, b), backward)
 
 
-def reshape(a, shape):
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape), owned=False)
-
-    return _result(data, (a,), backward)
-
-
-def transpose(a, axes=None):
-    data = a.data.transpose(axes)
-    inv = None if axes is None else np.argsort(axes)
-
-    def backward(g):
-        _accum(a, g.transpose(inv), owned=False)
-
-    return _result(data, (a,), backward)
-
-
 def gather_rows(table, indices):
-    """Row lookup table[indices]; backward scatter-adds into the table."""
+    """Rows of a 2-D or larger table at flat indices over its leading axes;
+    backward scatter-adds into the table."""
     idx = np.asarray(indices)
-    if table.ndim != 2:
-        raise ShapeError(f"gather_rows: table must be 2-D, got {table.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"gather_rows: index out of range for table with {table.shape[0]} rows")
-    data = table.data[idx]
+    if table.ndim < 2:
+        raise ShapeError(f"gather_rows: table must be 2-D or larger, got {table.shape}")
+    rows = table.data.reshape(-1, table.shape[-1])
+    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
+        raise IndexError(f"gather_rows: index out of range for table with {rows.shape[0]} rows")
+    data = rows[idx]
 
     def backward(g):
         if table.requires_grad:
             acc = np.zeros_like(table.data)
-            np.add.at(acc, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
+            np.add.at(acc.reshape(rows.shape), idx.reshape(-1), g.reshape(-1, rows.shape[1]))
             _accum(table, acc)
 
     return _result(data, (table,), backward)
@@ -365,39 +308,38 @@ def layer_norm(x, gain, bias, epsilon):
     return _result(data, (x, gain, bias), backward)
 
 
-def softmax_cross_entropy(logits, target):
-    """Mean negative log-softmax probability of the target tokens.
+def tied_cross_entropy(r, emb, targets):
+    """Mean cross entropy of softmax(r @ emb^T) at the target ids.
 
-    Takes a batch (N, V) of logits and an integer vector of N targets; the
-    gradient is (softmax - one_hot) / N.
+    r is (N, D) output representations, emb the (V, D) embedding matrix the
+    logits are tied to, targets N ids in [0, V). The logits' gradient is
+    (softmax - one_hot) / N; r's is that times emb, emb's its transpose times r.
     """
-    lg = logits.data
-    if lg.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy: logits must be 2-D, got {logits.shape}")
-    tg = np.atleast_1d(np.asarray(target, dtype=np.int64))
-    if tg.size != lg.shape[0]:
-        raise ShapeError(
-            f"softmax_cross_entropy: {lg.shape[0]} rows of logits but {tg.size} targets"
-        )
-    v = lg.shape[1]
+    _check_same_dtype(r, emb)
+    tg = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if r.ndim != 2 or emb.ndim != 2 or r.shape[1] != emb.shape[1] or tg.shape != r.shape[:1]:
+        raise ShapeError(f"tied_cross_entropy: r {r.shape}, emb {emb.shape} "
+                         f"and {tg.size} targets do not line up")
+    n, v = r.shape[0], emb.shape[0]
     if tg.size and (tg.min() < 0 or tg.max() >= v):
-        raise IndexError(f"softmax_cross_entropy: target out of range for vocabulary of {v}")
-    n = lg.shape[0]
-    m = lg.max(axis=1, keepdims=True)
-    shifted = lg - m
+        raise IndexError(f"tied_cross_entropy: target out of range for vocabulary of {v}")
+    lg = r.data @ emb.data.T
+    shifted = lg - lg.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(n)
-    losses = lse - shifted[rows, tg]
-    data = np.asarray(losses.mean(), dtype=lg.dtype)
+    data = np.asarray((lse - shifted[rows, tg]).mean(), dtype=lg.dtype)
 
     def backward(g):
-        if logits.requires_grad:
-            sm = np.exp(shifted)
-            sm /= sm.sum(axis=1, keepdims=True)
-            sm[rows, tg] -= 1.0
-            _accum(logits, (float(g) / n) * sm)
+        gl = np.exp(shifted)
+        gl /= gl.sum(axis=1, keepdims=True)
+        gl[rows, tg] -= 1.0
+        gl = (float(g) / n) * gl
+        if r.requires_grad:
+            _accum(r, gl @ emb.data)
+        if emb.requires_grad:
+            _accum(emb, (r.data.T @ gl).T, owned=False)
 
-    return _result(data, (logits,), backward)
+    return _result(data, (r, emb), backward)
 
 
 class ParamStore:

@@ -1,6 +1,6 @@
 """Subword vocabulary with greedy longest-match tokenization."""
 
-from pelt.errors import ConfigError
+from pelt.errors import ConfigError, read_lines
 
 PAD, MASK, UNK, LBRACKET, RBRACKET = "[PAD]", "[MASK]", "[UNK]", "(", ")"
 SPECIALS = (PAD, MASK, UNK, LBRACKET, RBRACKET)
@@ -45,8 +45,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls([line.rstrip("\n") for line in f if line.rstrip("\n")])
+        return cls([line for line in read_lines(path) if line])
 
 
 def tokenize(text, vocab):

@@ -1,17 +1,17 @@
-"""The generic tape ops the fused encoder ops replaced, kept as a reference.
+"""The generic tape ops the fused model ops replaced, kept as a reference.
 
-``pelt.tensor.linear`` and ``pelt.tensor.attention`` must equal, bit for bit,
-the compositions below of matmul (2-D or batched), add, reshape, transpose,
-scalar and elementwise mul, and softmax, the ops the encoder was built from
-before; the tests compare the two forward and backward.
+``pelt.tensor.linear``, ``attention``, ``tied_cross_entropy`` and the
+flat-row ``gather_rows`` must equal, bit for bit, the compositions below of
+matmul (2-D or batched), add, reshape, transpose, scalar and elementwise
+mul, softmax, softmax cross entropy and the 2-D row gather, the ops the
+model was built from before; the tests compare the two forward and backward.
 The numpy expressions of the in-place kernels and of per-parameter Adam that
 the library used before are kept here for the same purpose.
 """
 
 import numpy as np
 
-from pelt.tensor import (Tensor, _accum, _check_same_dtype, _result, add,
-                         reshape, transpose)
+from pelt.tensor import Tensor, _accum, _check_same_dtype, _result, add
 
 
 def matmul(a, b):
@@ -34,6 +34,53 @@ def matmul(a, b):
                 _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _result(data, (a, b), backward)
+
+
+def reshape(a, shape):
+    data = a.data.reshape(shape)
+
+    def backward(g):
+        _accum(a, g.reshape(a.data.shape), owned=False)
+
+    return _result(data, (a,), backward)
+
+
+def transpose(a, axes=None):
+    data = a.data.transpose(axes)
+    inv = None if axes is None else np.argsort(axes)
+
+    def backward(g):
+        _accum(a, g.transpose(inv), owned=False)
+
+    return _result(data, (a,), backward)
+
+
+def add_constant(a, c):
+    """a + c for a constant array c that broadcasts into a's shape."""
+    data = a.data + np.asarray(c, dtype=a.data.dtype)
+    return _result(data, (a,), lambda g: _accum(a, g, owned=False))
+
+
+def softmax_cross_entropy(logits, target):
+    """Mean negative log-softmax probability of N targets over (N, V) logits."""
+    lg = logits.data
+    tg = np.atleast_1d(np.asarray(target, dtype=np.int64))
+    n = lg.shape[0]
+    m = lg.max(axis=1, keepdims=True)
+    shifted = lg - m
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(n)
+    losses = lse - shifted[rows, tg]
+    data = np.asarray(losses.mean(), dtype=lg.dtype)
+
+    def backward(g):
+        if logits.requires_grad:
+            sm = np.exp(shifted)
+            sm /= sm.sum(axis=1, keepdims=True)
+            sm[rows, tg] -= 1.0
+            _accum(logits, (float(g) / n) * sm)
+
+    return _result(data, (logits,), backward)
 
 
 def mul(a, b):
@@ -70,13 +117,32 @@ def linear(x, w, b):
     return add(matmul(x, w), b)
 
 
+def tied_cross_entropy(r, emb, targets):
+    return softmax_cross_entropy(matmul(r, transpose(emb)), targets)
+
+
+def gather_rows(table, indices):
+    """Row lookup in a 2-D table, after a reshape for a larger one."""
+    if table.ndim > 2:
+        table = reshape(table, (-1, table.shape[-1]))
+    idx = np.asarray(indices)
+    data = table.data[idx]
+
+    def backward(g):
+        acc = np.zeros_like(table.data)
+        np.add.at(acc, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        _accum(table, acc)
+
+    return _result(data, (table,), backward)
+
+
 def attention(q, k, v, heads, bias=None):
     bsz, n, d = q.shape
     hd = d // heads
     qh, kh, vh = (transpose(reshape(t, (bsz, n, heads, hd)), (0, 2, 1, 3)) for t in (q, k, v))
     scores = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
     if bias is not None:
-        scores = add(scores, bias)
+        scores = add_constant(scores, bias)
     weights = softmax(scores, axis=-1)
     return reshape(transpose(matmul(weights, vh), (0, 2, 1, 3)), (bsz, n, d))
 

@@ -377,6 +377,43 @@ class TestUsageAndConfig:
         assert err.count("\n") == 1 and err.startswith(f"error: {path}, line 3: ")
         assert not tsv.exists()
 
+    @pytest.mark.parametrize("name,command", [
+        ("vocab.txt", "probe"), ("catalog.tsv", "probe"), ("cloze.tsv", "probe"),
+        ("lookup.txt", "build-table"), ("train.txt", "train"), ("run.cfg", "gen-corpus"),
+        ("graph.txt", "link")])
+    def test_non_utf8_text_input_exits_1(self, pipeline, tmp_path, capsys, name, command):
+        _, data, ckpt = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        path = copy / name
+        with open(path, "ab") as f:
+            f.write(b"caf\xe9 \xff\n")
+        out = str(tmp_path / "out")
+        argv = {"probe": ["--ckpt", ckpt, "--data", str(copy), "--tsv", out],
+                "build-table": ["--ckpt", ckpt, "--data", str(copy), "--out", out],
+                "train": ["--data", str(copy), "--out", out, "--steps", "1"],
+                "gen-corpus": ["--config", str(path), "--out", out],
+                "link": ["--graph", str(path), "--tsv", out]}[command]
+        assert main([command] + argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw[:16] + (0).to_bytes(4, "little") + raw[20:],  # layers 1 -> 0
+        lambda raw: raw[:16] + (2).to_bytes(4, "little") + raw[20:],  # layers 1 -> 2
+        lambda raw: raw.replace(b"head.w", b"head.x"),
+        lambda raw: raw[:20] + (3).to_bytes(4, "little") + raw[24:],  # heads 3, dim 16
+    ], ids=["fewer-layers", "more-layers", "renamed", "bad-config"])
+    def test_checkpoint_other_than_its_layout_exits_1(self, pipeline, tmp_path, capsys,
+                                                      edit):
+        _, data, ckpt = pipeline
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(edit(open(ckpt, "rb").read()))
+        assert main(["probe", "--ckpt", str(bad), "--data", data]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {bad}: ")
+        assert not captured.out
+
     @pytest.mark.parametrize("command", ["probe", "sweep"])
     def test_out_of_vocabulary_catalog_answer_exits_1(self, pipeline, tmp_path, capsys,
                                                       command):

@@ -8,19 +8,24 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelt.checkpoint import (deserialize_checkpoint, fingerprint,
                              load_checkpoint, save_checkpoint,
                              serialize_checkpoint)
-from pelt.corpus import CorpusConfig, generate_corpus, parse_corpus
+from pelt.corpus import (CorpusConfig, generate_corpus, parse_corpus,
+                         parse_marked_line)
 from pelt import tensor
 from pelt.errors import (ConfigError, ContractError, CorruptionError,
                          FormatError, LengthError)
 from pelt.gradcheck import grad_check
+from pelt.infuse import augment
 from pelt.model import (Checkpoint, ModelConfig, encode,
                         init_params, masked_outputs, mlm_loss, output_repr,
-                        predict_topk, train_mlm)
+                        param_layout, predict_topk, train_mlm)
 from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch
+from pelt.table import build_table
 from pelt.vocab import MASK_ID, PAD_ID
 
 import reference_ops
@@ -33,6 +38,13 @@ def _bench_reference():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _use_reference_ops(monkeypatch):
+    """Run pelt.model on the generic ops that its fused ops replace."""
+    import pelt.model
+    for name in ("linear", "attention", "tied_cross_entropy", "gather_rows"):
+        monkeypatch.setattr(pelt.model, name, getattr(reference_ops, name))
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +288,39 @@ class TestMaskedOutputs:
         npt.assert_array_equal(masked_outputs(tiny, seqs, [0, 0, 0]),
                                _one_at_a_time(tiny, seqs, [0, 0, 0]))
 
+    def test_infused_slots_equal_the_float64_reference(self):
+        # cloze queries with table vectors spliced in, each all-token query
+        # twice, and one sequence alone in its length group: 70 sequences of
+        # many lengths, more than one slice, against the reference one at a time
+        ref = _bench_reference()
+        bundle = generate_corpus(CorpusConfig(n_entities=24, entity_slot_budget=300,
+                                              lookup_per_entity=4, zero_train_entities=2,
+                                              seed=21))
+        ckpt = synthetic_checkpoint(dim=16, layers=2, heads=2, vocab_size=len(bundle.vocab),
+                                    max_len=40, seed=21, dtype=np.float64)
+        rng = np.random.default_rng(21)
+        for _, p in ckpt.params.items():
+            p.data += rng.normal(0.0, 0.3, p.shape)
+        lookup = parse_corpus(bundle.lookup_lines, bundle.vocab)
+        table, _ = build_table(bundle.catalog.ids(), lookup, ckpt, 3.0)
+        seqs, positions = [], []
+        for q in bundle.queries[:23]:
+            sentence = parse_marked_line(q.query, bundle.vocab)
+            pos = sentence.tokens.index(MASK_ID)
+            slots, provenance = augment(sentence, table)
+            seqs += [slots, list(sentence.tokens), list(sentence.tokens)]
+            positions += [int(provenance[pos]), pos, pos]
+        seqs.append([int(t) for t in rng.integers(5, len(bundle.vocab), 37)] + [MASK_ID])
+        positions.append(37)
+        lens = [len(s) for s in seqs]
+        assert len(seqs) > 64 and lens.count(38) == 1 and len(set(lens)) > 3
+        assert sum(not isinstance(x, int) for s in seqs for x in s) >= 20
+        model = ref.ReferenceModel(dataclasses.asdict(ckpt.config),
+                                   {n: p.data for n, p in ckpt.params.items()})
+        want = np.stack([model.masked_repr(s, p) for s, p in zip(seqs, positions)])
+        got = masked_outputs(ckpt, seqs, positions)
+        assert got.dtype == np.float64 and np.abs(got - want).max() < 1e-12
+
     def test_slice_size_not_visible(self, tiny, masked_batch, monkeypatch):
         import pelt.model
         seqs, positions = masked_batch
@@ -325,11 +370,12 @@ class TestMlmLoss:
         assert abs(logit1 - logit0) > 1e-9  # output side moved
         npt.assert_array_equal(r, r1)  # context repr itself is unaffected
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("heads", [1, 4])
-    def test_fused_ops_equal_the_reference_composition(self, monkeypatch, heads):
-        # loss, every gradient, a few training steps and inference, bit for
-        # bit, against the same model run on matmul/add/reshape/softmax ops
-        import pelt.model
+    def test_fused_ops_equal_the_reference_composition(self, monkeypatch, heads, dtype):
+        # loss, every gradient, a few (float32) training steps and inference,
+        # bit for bit, against the same model run on the generic ops:
+        # matmul/add/reshape/transpose/softmax and softmax cross entropy
         bundle = generate_corpus(CorpusConfig(n_entities=6, entity_slot_budget=60,
                                               lookup_per_entity=2, zero_train_entities=1,
                                               seed=3))
@@ -341,34 +387,36 @@ class TestMlmLoss:
         targets[2, 6:] = -1
         seqs = [s.tokens for s in sentences[:40]]
         positions = [len(s) // 2 for s in seqs]
+        # vector slots, repeated all-token queries and a one-sequence length group
+        seqs += [seqs[0], seqs[1][:1], [5, np.full(48, 0.1, dtype), MASK_ID]]
+        positions += [positions[0], 0, 2]
 
         def run():
-            params = init_params(config, np.float32)
+            params = init_params(config, dtype)
             loss = mlm_loss(params, config, tokens, targets)
             loss.backward()
             ckpt = train_mlm(sentences, config, steps=4, lr=3e-3, seed=3, log_every=0)
             return ([loss.data] + [p.grad for _, p in params.items()]
                     + [np.frombuffer(serialize_checkpoint(ckpt), np.uint8),
-                       masked_outputs(ckpt, seqs, positions)])
+                       masked_outputs(ckpt, seqs, positions),
+                       masked_outputs(Checkpoint(config, params), seqs, positions)])
 
         fused = run()
-        monkeypatch.setattr(pelt.model, "linear", reference_ops.linear)
-        monkeypatch.setattr(pelt.model, "attention", reference_ops.attention)
+        _use_reference_ops(monkeypatch)
         for got, want in zip(fused, run()):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_tape_holds_the_fused_ops(self, monkeypatch):
-        # 36 op nodes for a 2-layer model: 12 per layer (6 linear, attention,
-        # 2 add, 2 layer_norm, gelu), 4 before the layers, 8 after; the
-        # unfused composition builds 75
-        import pelt.model
+        # 33 op nodes for a 2-layer model: 12 per layer (6 linear, attention,
+        # 2 add, 2 layer_norm, gelu), 4 before the layers (2 gathers, add,
+        # layer_norm) and 5 after (gather, the head's linear, gelu and
+        # layer_norm, tied_cross_entropy); the generic composition builds 75
         config = ModelConfig(dim=16, layers=2, heads=2, max_len=16, vocab_size=40, seed=1)
         params = init_params(config, np.float32)
         tokens, targets = synthetic_mlm_batch(40, batch=3, length=8, seed=1)
         tokens[0, 5:], targets[0, 5:] = PAD_ID, -1
-        assert reference_ops.tape_ops(mlm_loss(params, config, tokens, targets)) == 36
-        monkeypatch.setattr(pelt.model, "linear", reference_ops.linear)
-        monkeypatch.setattr(pelt.model, "attention", reference_ops.attention)
+        assert reference_ops.tape_ops(mlm_loss(params, config, tokens, targets)) == 33
+        _use_reference_ops(monkeypatch)
         assert reference_ops.tape_ops(mlm_loss(params, config, tokens, targets)) == 75
 
     def test_gelu_runs_on_the_rows_the_loss_reads(self, tiny, monkeypatch):
@@ -582,6 +630,37 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="rank 70"):
             deserialize_checkpoint(bytes(raw))
 
+    @pytest.mark.parametrize("layers,ffn_mult", [(0, 4), (1, 2), (3, 4)])
+    def test_layout_is_the_order_and_shapes_of_init_params(self, layers, ffn_mult):
+        config = ModelConfig(dim=8, layers=layers, heads=2, ffn_mult=ffn_mult, max_len=5,
+                             vocab_size=11, seed=2)
+        assert ([(n, p.shape) for n, p in init_params(config).items()]
+                == list(param_layout(config)))
+
+    @pytest.mark.parametrize("offset,value,match", [
+        (16, 1, "parameter 20 is 'layer1.attn.wq' .* lays out 'head.w'"),  # layers 2 -> 1
+        (16, 3, "parameter 36 is 'head.w' .* lays out 'layer2.attn.wq'"),  # layers 2 -> 3
+        (76, 39, "39 parameters, not the number its config lays out"),
+        (76, 41, "41 parameters, not the number its config lays out"),
+        (12, 18, r"'emb.word' \(40, 16\), its config lays out 'emb.word' \(40, 18\)"),
+        (28, 17, "its config lays out 'emb.pos' \\(17, 16\\)"),  # max_len
+        (20, 3, "dim 16 not divisible by 3 heads"),
+        (12, 0, "need dim, heads"),
+    ])
+    def test_header_other_than_the_layout_rejected(self, tiny, offset, value, match):
+        raw = bytearray(serialize_checkpoint(tiny))
+        raw[offset:offset + 4] = value.to_bytes(4, "little")
+        with pytest.raises(FormatError, match="^ckpt.bin: .*" + match):
+            deserialize_checkpoint(bytes(raw), "ckpt.bin")
+
+    def test_renamed_or_reordered_parameter_rejected(self, tiny):
+        raw = serialize_checkpoint(tiny)
+        with pytest.raises(FormatError, match="'head.x' .* lays out 'head.w'"):
+            deserialize_checkpoint(raw.replace(b"head.w", b"head.x"))
+        swapped = raw.replace(b"emb.ln.g", b"emb.ln.?").replace(b"emb.ln.b", b"emb.ln.g")
+        with pytest.raises(FormatError, match="parameter 2 is 'emb.ln.b' .* lays out 'emb.ln.g'"):
+            deserialize_checkpoint(swapped.replace(b"emb.ln.?", b"emb.ln.b"))
+
     def test_failed_save_keeps_previous_file(self, tiny, tmp_path):
         path = tmp_path / "model.bin"
         save_checkpoint(tiny, path)
@@ -610,3 +689,55 @@ class TestCheckpointIO:
                                     max_len=4, seed=0, dtype=np.float64)
         loaded = deserialize_checkpoint(serialize_checkpoint(ckpt))
         assert loaded.params["emb.word"].data.dtype == np.float32
+
+
+def _header_fields(raw):
+    """(offset, struct format) of every header field of a checkpoint and of
+    every parameter's name length, name bytes, rank and dims."""
+    fields = [(12 + 4 * i, "<I") for i in range(6)] + [(36, "<d"), (44, "<Q"), (76, "<I")]
+    names, at = [], 80
+    while at < len(raw):
+        (n,) = struct.unpack_from("<I", raw, at)
+        fields.append((at, "<I"))
+        names += range(at + 4, at + 4 + n)
+        at += 4 + n
+        (rank,) = struct.unpack_from("<I", raw, at)
+        fields += [(at + 4 * i, "<I") for i in range(rank + 1)]
+        dims = struct.unpack_from(f"<{rank}I", raw, at + 4)
+        at += 4 * (rank + 1) + 4 * int(np.prod(dims))
+    return fields, names
+
+
+FUZZ_RAW = serialize_checkpoint(synthetic_checkpoint(dim=8, layers=1, heads=2, vocab_size=12,
+                                                     max_len=6, seed=4, dtype=np.float32))
+FUZZ_FIELDS, FUZZ_NAME_BYTES = _header_fields(FUZZ_RAW)
+_VALUES = {"<I": st.one_of(st.integers(0, 80), st.integers(0, 2 ** 32 - 1)),
+           "<Q": st.integers(0, 2 ** 64 - 1),
+           "<d": st.floats(allow_nan=True, allow_infinity=True)}
+
+
+@st.composite
+def _edited_checkpoint(draw):
+    """A truncation, a rewritten header or structure field, or a rewritten
+    name byte of a serialized checkpoint; payload bytes are left alone."""
+    raw = bytearray(FUZZ_RAW)
+    kind = draw(st.sampled_from(["truncate", "field", "name"]))
+    if kind == "truncate":
+        return bytes(raw[:draw(st.integers(0, len(raw) - 1))])
+    if kind == "field":
+        offset, fmt = draw(st.sampled_from(FUZZ_FIELDS))
+        struct.pack_into(fmt, raw, offset, draw(_VALUES[fmt]))
+    else:
+        raw[draw(st.sampled_from(FUZZ_NAME_BYTES))] = draw(st.integers(0, 255))
+    return bytes(raw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_checkpoint())
+def test_fuzzed_header_loads_with_its_layout_or_raises_format_error(raw):
+    try:
+        ckpt = deserialize_checkpoint(raw)
+    except FormatError:
+        return
+    assert ([(n, p.shape) for n, p in ckpt.params.items()]
+            == [(n, p.shape) for n, p in init_params(ckpt.config).items()])
