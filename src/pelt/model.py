@@ -8,9 +8,9 @@ a direct (D,) input vector (which is what lets constructed entity
 embeddings ride along as pseudo-tokens). Entity tables sum these outputs
 over masked occurrences; predict_topk() ranks the vocabulary against one of
 them, with or without infused vectors. Each distinct all-token input is
-encoded once by encode(), one unpadded no-grad pass per sequence length
-whose last layer runs past attention on the masked rows only; output_repr()
-is the head over a stack of rows. No result depends on the batching.
+encoded once: each chunk of at most 64 inputs of one length is one unpadded
+no-grad pass of the encoder, whose last layer runs past attention on the
+masked rows only, and of the head. No result depends on the batching.
 Training (mlm_loss) and inference run the same encoder, built from the
 fused tape ops: six ``linear`` and one ``attention`` node per layer, and the
 tied head's loss is one ``tied_cross_entropy`` node. mlm_loss runs GELU on
@@ -47,9 +47,9 @@ class ModelConfig:
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be positive")
         if (min(self.dim, self.heads, self.ffn_mult, self.max_len) < 1
-                or min(self.layers, self.seed) < 0 or not self.ln_eps >= 0):
-            raise ConfigError("need dim, heads, ffn_mult, max_len >= 1 "
-                              "and layers, seed, ln_eps >= 0")
+                or min(self.layers, self.seed) < 0 or not 0 <= self.ln_eps < np.inf):
+            raise ConfigError("need dim, heads, ffn_mult, max_len >= 1, "
+                              "layers, seed >= 0 and 0 <= ln_eps < inf")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by {self.heads} heads")
 
@@ -129,97 +129,66 @@ def _head(params, cfg, h):
     return layer_norm(f, params["head.ln.g"], params["head.ln.b"], cfg.ln_eps)
 
 
-def encode(ckpt, seqs, positions=None):
-    """Contextual representations for a batch of slot sequences.
-
-    A slot is a token id or a direct (D,) input vector. The batch is grouped
-    by length (stably) and each group runs as one pass with no padding and
-    no attention bias, so a sequence's vectors do not depend on its batch.
-    Returns one (n_i, D) array per sequence, in input order, or with
-    ``positions`` the row at ``positions[i]`` of each, bit for bit; a group
-    of one then runs its row twice, as output_repr does.
-    """
-    cfg = ckpt.config
-    if not seqs:
-        return []
-    lens = [len(s) for s in seqs]
-    if max(lens) > cfg.max_len:
-        raise LengthError(f"sequence of {max(lens)} exceeds max length {cfg.max_len}")
-    if min(lens) == 0:
-        raise ContractError("cannot encode an empty sequence")
-    emb = ckpt.params["emb.word"].data
-    tokens = np.full((len(seqs), max(lens)), PAD_ID, dtype=np.int64)
-    vectors = []
-    for i, seq in enumerate(seqs):
-        for j, s in enumerate(seq):
-            if isinstance(s, (int, np.integer)):
-                tokens[i, j] = s
-            else:
-                vectors.append((i, j, np.asarray(s)))
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise IndexError(f"token id out of range for vocabulary {cfg.vocab_size}")
-    x = emb[tokens]
-    for i, j, vec in vectors:
-        if vec.shape != (cfg.dim,):
-            raise ConfigError(
-                f"input vector at slot {j} has shape {vec.shape}, model dim is {cfg.dim}")
-        x[i, j] = vec
-    if positions is not None and not all(0 <= p < n for p, n in zip(positions, lens)):
-        raise IndexError("a position lies outside its sequence")
-    groups = {}
-    for i, n in enumerate(lens):
-        groups.setdefault(n, []).append(i)
-    out = [None] * len(seqs)
-    for n, idx in groups.items():
-        rows = None if positions is None else (
-            [k * n + positions[i] for k, i in enumerate(idx)] * (2 if len(idx) == 1 else 1))
-        with no_grad():
-            h = _encoder(ckpt.params, cfg, Tensor(x if len(groups) == 1 else x[idx, :n]),
-                         None, rows)
-        for k, i in enumerate(idx):
-            out[i] = h.data[k]
-    return out
-
-
-def output_repr(ckpt, rows):
-    """MLM-head transform of each row of an (m, D) stack; PELT sums these.
-
-    One row runs as a stack of two identical rows: numpy's one-row product
-    rounds differently from a stack, and a row's output must not depend on
-    the stack it came in.
-    """
-    m = len(rows)
-    rows = np.ascontiguousarray(np.vstack([rows, rows]) if m == 1 else rows)
-    with no_grad():
-        return _head(ckpt.params, ckpt.config, Tensor(rows)).data[:m]
-
-
 def masked_outputs(ckpt, seqs, positions):
     """MLM-head output at ``positions[i]`` of each slot sequence ``seqs[i]``.
 
-    Each distinct all-token (sequence, position) pair is encoded once, its
-    row copied to every repeat with the same slot types (a vector slot is
-    unhashable and a float slot never equals a token: neither is merged).
-    These are ordered by length and encoded in slices of at most
-    _MASKED_SLICE, the last layer past attention on the masked rows only;
-    the head runs once per slice. encode never pads and a head row does not
-    depend on its stack, so the (m, D) result, in input order, equals
-    encoding one sequence at a time, whatever the slice size.
+    A slot is a token id or a direct (D,) input vector. Each distinct
+    all-token (sequence, position) pair is encoded once, its row copied to
+    every repeat with the same slot types (a vector slot is unhashable and a
+    float slot never equals a token: neither is merged). The distinct inputs
+    are grouped by length, and each group runs in chunks of at most
+    _MASKED_SLICE: one unpadded no-grad pass of the encoder, its last layer
+    past attention on the masked rows only, and of the head. A chunk of one
+    sequence runs its row twice, since numpy's one-row product rounds
+    differently from a stack. So the (m, D) result, in input order, equals
+    encoding one sequence at a time, whatever the chunk size.
     """
+    cfg, emb = ckpt.config, ckpt.params["emb.word"].data
     first, src = {}, list(range(len(seqs)))  # src[i]: the index whose row i copies
+    groups = {}  # length -> the distinct inputs of that length, in input order
     for i, seq in enumerate(seqs):
         try:
             j = first.setdefault((tuple(seq), positions[i]), i)
         except TypeError:  # holds a vector
-            continue
+            j = i
         if j != i and list(map(type, seq)) == list(map(type, seqs[j])):  # 5.0 == 5
             src[i] = j
-    out = np.empty((len(seqs), ckpt.config.dim), dtype=ckpt.params["emb.word"].data.dtype)
-    order = sorted((i for i, j in enumerate(src) if i == j), key=lambda i: len(seqs[i]))
-    for lo in range(0, len(order), _MASKED_SLICE):
-        idx = order[lo:lo + _MASKED_SLICE]
-        hs = encode(ckpt, [seqs[i] for i in idx], [positions[i] for i in idx])
-        out[idx] = output_repr(ckpt, np.stack(hs))
+        else:
+            groups.setdefault(len(seq), []).append(i)
+    if groups and max(groups) > cfg.max_len:
+        raise LengthError(f"sequence of {max(groups)} exceeds max length {cfg.max_len}")
+    if 0 in groups:
+        raise ContractError("cannot encode an empty sequence")
+    chunks = []  # (inputs, (k, n) token matrix, (k, slot, vector) of each vector slot)
+    for n, idx in groups.items():
+        if not all(0 <= positions[i] < n for i in idx):
+            raise IndexError("a position lies outside its sequence")
+        for lo in range(0, len(idx), _MASKED_SLICE):
+            part = idx[lo:lo + _MASKED_SLICE]
+            tokens = np.full((len(part), n), PAD_ID, dtype=np.int64)
+            vectors = []
+            for k, i in enumerate(part):
+                for j, s in enumerate(seqs[i]):
+                    if isinstance(s, (int, np.integer)):
+                        tokens[k, j] = s
+                    elif np.shape(s) == (cfg.dim,):
+                        vectors.append((k, j, s))
+                    else:
+                        raise ConfigError(f"input vector at slot {j} has shape "
+                                          f"{np.shape(s)}, model dim is {cfg.dim}")
+            if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+                raise IndexError(f"token id out of range for vocabulary {cfg.vocab_size}")
+            chunks.append((part, tokens, vectors))
+    out = np.empty((len(seqs), cfg.dim), dtype=emb.dtype)
+    for part, tokens, vectors in chunks:
+        x = emb[tokens]
+        for k, j, vec in vectors:
+            x[k, j] = vec
+        n = tokens.shape[1]
+        rows = [k * n + positions[i] for k, i in enumerate(part)] * (2 if len(part) == 1 else 1)
+        with no_grad():
+            r = _head(ckpt.params, cfg, _encoder(ckpt.params, cfg, Tensor(x), None, rows))
+        out[part] = r.data[:len(part)]
     return out[src]
 
 
@@ -286,6 +255,8 @@ def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
         raise ContractError(f"need steps >= 0 and batch_size >= 1, got {steps} and {batch_size}")
     if not (0 < lr < np.inf and 0 < mask_rate <= 1):
         raise ConfigError(f"need 0 < lr < inf and 0 < mask_rate <= 1, got {lr} and {mask_rate}")
+    if log_every < 0:
+        raise ConfigError(f"need log_every >= 0, got {log_every}")
     params = init_params(config, np.float32)
     seqs = [np.asarray(s.tokens, dtype=np.int64) for s in sentences]
     for seq in seqs:

@@ -7,11 +7,14 @@ mul, softmax, softmax cross entropy and the 2-D row gather, the ops the
 model was built from before; the tests compare the two forward and backward.
 The numpy expressions of the in-place kernels and of per-parameter Adam that
 the library used before are kept here for the same purpose.
+``hidden_states`` is the full pre-head encoder pass, no row pruned, that
+tests of the encoder's input side read.
 """
 
 import numpy as np
 
-from pelt.tensor import Tensor, _accum, _check_same_dtype, _result, add
+from pelt.model import _encoder
+from pelt.tensor import Tensor, _accum, _check_same_dtype, _result, add, no_grad
 
 
 def matmul(a, b):
@@ -203,3 +206,13 @@ def tape_ops(root):
             ops += bool(node._parents)
             stack.extend(node._parents)
     return ops
+
+
+def hidden_states(ckpt, slots):
+    """Pre-head encoder states (n, D) of one slot sequence (token ids or
+    (D,) vectors), every row: one no-grad ``_encoder`` pass, no row pruned."""
+    emb = ckpt.params["emb.word"].data
+    x = np.stack([emb[s] if isinstance(s, (int, np.integer)) else np.asarray(s, emb.dtype)
+                  for s in slots])
+    with no_grad():
+        return _encoder(ckpt.params, ckpt.config, Tensor(x[None]), None).data[0]

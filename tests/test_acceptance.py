@@ -20,7 +20,7 @@ from pelt.gradcheck import grad_check
 from pelt.infuse import cloze_predict_infused
 from pelt.linker import (Document, build_alias_table, link_iterate,
                          load_page_graph)
-from pelt.model import ModelConfig, encode, mlm_loss, output_repr, train_mlm
+from pelt.model import ModelConfig, masked_outputs, mlm_loss, train_mlm
 from pelt.probe import run_probe, sweep_norm
 from pelt.synth import (synthetic_checkpoint, synthetic_mlm_batch,
                         synthetic_occurrences)
@@ -29,6 +29,8 @@ from pelt.table import (DirectionSet, build_table, gradient_direction_oracle,
                         table_from_directions)
 from pelt.tensor import Tensor, layer_norm
 from pelt.vocab import MASK_ID
+
+from reference_ops import hidden_states
 
 SEEDS = (42, 43, 44)
 TRAIN_STEPS = 9000
@@ -83,12 +85,12 @@ def test_criterion_02_tied_weight_behavior():
                                 seed=2, dtype=np.float64)
     token, coord = 23, 5
     unrelated = [7, MASK_ID, 11, 40]  # token 23 absent from the input
-    emb_before = encode(ckpt, [[token]])[0].copy()
-    r_before = output_repr(ckpt, encode(ckpt, [unrelated])[0][1:2])[0]
+    emb_before = hidden_states(ckpt, [token]).copy()
+    r_before = masked_outputs(ckpt, [unrelated], [1])[0]
     logit_before = float(ckpt.params["emb.word"].data[token] @ r_before)
     ckpt.params["emb.word"].data[token, coord] += 0.25
-    emb_after = encode(ckpt, [[token]])[0]
-    r_after = output_repr(ckpt, encode(ckpt, [unrelated])[0][1:2])[0]
+    emb_after = hidden_states(ckpt, [token])
+    r_after = masked_outputs(ckpt, [unrelated], [1])[0]
     logit_after = float(ckpt.params["emb.word"].data[token] @ r_after)
     input_moved = np.abs(emb_after - emb_before).max() > 0
     npt.assert_array_equal(r_before, r_after)

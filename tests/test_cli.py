@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -303,7 +304,8 @@ class TestUsageAndConfig:
                                             ("--lr", "inf"), ("--lr", "-inf"),
                                             ("--lr", "-1"), ("--lr", "0"),
                                             ("--mask-rate", "1.5"), ("--mask-rate", "0"),
-                                            ("--mask-rate", "nan")])
+                                            ("--mask-rate", "nan"), ("--ln-eps", "inf"),
+                                            ("--log-every", "-1")])
     def test_out_of_range_train_value_exits_1(self, pipeline, tmp_path, capsys,
                                               flag, value):
         _, data, _ = pipeline
@@ -403,7 +405,8 @@ class TestUsageAndConfig:
         lambda raw: raw[:16] + (2).to_bytes(4, "little") + raw[20:],  # layers 1 -> 2
         lambda raw: raw.replace(b"head.w", b"head.x"),
         lambda raw: raw[:20] + (3).to_bytes(4, "little") + raw[24:],  # heads 3, dim 16
-    ], ids=["fewer-layers", "more-layers", "renamed", "bad-config"])
+        lambda raw: raw[:36] + struct.pack("<d", float("inf")) + raw[44:],  # ln_eps
+    ], ids=["fewer-layers", "more-layers", "renamed", "bad-config", "infinite-ln-eps"])
     def test_checkpoint_other_than_its_layout_exits_1(self, pipeline, tmp_path, capsys,
                                                       edit):
         _, data, ckpt = pipeline

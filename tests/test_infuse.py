@@ -8,10 +8,12 @@ from pelt.corpus import (CorpusConfig, Mention, Sentence, generate_corpus,
                          parse_corpus, parse_marked_line)
 from pelt.errors import ConfigError, ContractError, LengthError
 from pelt.infuse import augment, cloze_predict_infused
-from pelt.model import encode, predict_topk
+from pelt.model import masked_outputs, predict_topk
 from pelt.synth import synthetic_checkpoint
 from pelt.table import build_table
 from pelt.vocab import LBRACKET_ID, MASK_ID, RBRACKET_ID
+
+from reference_ops import hidden_states
 
 
 @pytest.fixture(scope="module")
@@ -108,16 +110,17 @@ class TestAugment:
 
 
 class TestEncodeAugmented:
-    """Augmented sequences go through model.encode with vector slots."""
+    """Augmented sequences go through the encoder with vector slots."""
 
     def test_vector_equal_to_embedding_row_matches_plain_encoding(self, world):
         bundle, ckpt, table = world
         emb = ckpt.params["emb.word"].data
         tokens = [bundle.vocab.id(w) for w in ("someone", "lives", "in", "paris")]
         slots = [tokens[0], tokens[1], emb[tokens[2]].copy(), tokens[3]]
-        h_aug = encode(ckpt, [slots])[0]
-        h_plain = encode(ckpt, [tokens])[0]
-        npt.assert_array_equal(h_aug, h_plain)
+        positions = list(range(len(tokens)))
+        r_aug = masked_outputs(ckpt, [slots] * len(tokens), positions)
+        r_plain = masked_outputs(ckpt, [tokens] * len(tokens), positions)
+        npt.assert_array_equal(r_aug, r_plain)
 
     def test_scale_invariance_at_zero_position_row(self, world):
         # the exact kernel of the norm claim: with the position row zeroed
@@ -134,7 +137,7 @@ class TestEncodeAugmented:
         vec = np.random.default_rng(2).normal(size=16)
         outs = []
         for c in (0.1, 1.0, 7.0, 10.0):
-            outs.append(encode(ckpt, [[5, c * vec, 6]])[0][1])
+            outs.append(hidden_states(ckpt, [5, c * vec, 6])[1])
         for other in outs[1:]:
             npt.assert_allclose(other, outs[0], atol=1e-9)
 
@@ -144,7 +147,7 @@ class TestEncodeAugmented:
                                     vocab_size=len(bundle.vocab), max_len=8,
                                     seed=3, dtype=np.float64)
         vec = np.random.default_rng(4).normal(size=16)
-        h = encode(ckpt, [[5, vec, 6]])[0]
+        h = hidden_states(ckpt, [5, vec, 6])
         x = vec + ckpt.params["emb.pos"].data[1]
         mu, var = x.mean(), ((x - x.mean()) ** 2).mean()
         ref = (x - mu) / np.sqrt(var + ckpt.config.ln_eps)
@@ -154,7 +157,7 @@ class TestEncodeAugmented:
     def test_dim_mismatch_rejected(self, world):
         bundle, ckpt, table = world
         with pytest.raises(ConfigError):
-            encode(ckpt, [[5, np.zeros(7), 6]])
+            masked_outputs(ckpt, [[5, np.zeros(7), 6]], [0])
 
 
 class TestClozePredictInfused:

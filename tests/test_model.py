@@ -21,14 +21,14 @@ from pelt.errors import (ConfigError, ContractError, CorruptionError,
                          FormatError, LengthError)
 from pelt.gradcheck import grad_check
 from pelt.infuse import augment
-from pelt.model import (Checkpoint, ModelConfig, encode,
-                        init_params, masked_outputs, mlm_loss, output_repr,
-                        param_layout, predict_topk, train_mlm)
+from pelt.model import (Checkpoint, ModelConfig, init_params, masked_outputs,
+                        mlm_loss, param_layout, predict_topk, train_mlm)
 from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch
 from pelt.table import build_table
 from pelt.vocab import MASK_ID, PAD_ID
 
 import reference_ops
+from reference_ops import hidden_states
 
 
 def _bench_reference():
@@ -76,24 +76,49 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", [{"dim": 0}, {"heads": 0}, {"ffn_mult": 0},
                                        {"ln_eps": -1.0}, {"ln_eps": float("nan")},
-                                       {"seed": -1}])
+                                       {"ln_eps": float("inf")}, {"seed": -1}])
     def test_out_of_range_rejected(self, field):
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, **field)
 
 
-class TestEncode:
-    def test_indices_and_vectors_give_identical_h(self, tiny):
+def _every_position(seqs):
+    """Each sequence once per position: (sequences, positions)."""
+    pairs = [(seq, p) for seq in seqs for p in range(len(seq))]
+    return [s for s, _ in pairs], [p for _, p in pairs]
+
+
+def _unpruned(monkeypatch):
+    """Make masked_outputs run every encoder layer on every row, then pick
+    the masked rows, instead of running the last layer on those rows only."""
+    import pelt.model
+    encoder = pelt.model._encoder
+    monkeypatch.setattr(pelt.model, "_encoder", lambda params, cfg, x, bias, rows:
+                        tensor.gather_rows(encoder(params, cfg, x, bias), rows))
+
+
+def _encoded_batches(monkeypatch):
+    """Record the number of sequences of each _encoder call."""
+    import pelt.model
+    encoder, sizes = pelt.model._encoder, []
+    monkeypatch.setattr(pelt.model, "_encoder", lambda params, cfg, x, bias, rows:
+                        sizes.append(x.shape[0]) or encoder(params, cfg, x, bias, rows))
+    return sizes
+
+
+class TestEncoder:
+    def test_indices_and_vectors_give_identical_outputs(self, tiny):
         tokens = [7, 12, 9, 30]
         emb = tiny.params["emb.word"].data
         vectors = [emb[t] for t in tokens]
-        npt.assert_array_equal(encode(tiny, [tokens])[0], encode(tiny, [vectors])[0])
+        npt.assert_array_equal(masked_outputs(tiny, *_every_position([tokens])),
+                               masked_outputs(tiny, *_every_position([vectors])))
 
     def test_zero_layer_encoder_is_embedding_layernorm(self):
         ckpt = synthetic_checkpoint(dim=8, layers=0, heads=2, vocab_size=20,
                                     max_len=8, seed=1, dtype=np.float64)
         tokens = [5, 6, 7]
-        h = encode(ckpt, [tokens])[0]
+        h = hidden_states(ckpt, tokens)
         emb = ckpt.params["emb.word"].data
         pos = ckpt.params["emb.pos"].data
         x = emb[tokens] + pos[:3]
@@ -104,66 +129,69 @@ class TestEncode:
         npt.assert_allclose(h, ref, atol=1e-12)
 
     def test_position_table_is_active(self, tiny):
-        a = encode(tiny, [[7, 9]])[0]
-        b = encode(tiny, [[9, 7]])[0]
+        a = masked_outputs(tiny, *_every_position([[7, 9]]))
+        b = masked_outputs(tiny, *_every_position([[9, 7]]))
         assert np.abs(a - b[::-1]).max() > 1e-6
 
     def test_overlong_sequence_rejected(self, tiny):
         with pytest.raises(LengthError):
-            encode(tiny, [[5] * (tiny.config.max_len + 1)])
+            masked_outputs(tiny, [[5] * (tiny.config.max_len + 1)], [0])
 
     def test_bad_vector_dim_rejected(self, tiny):
         with pytest.raises(ConfigError):
-            encode(tiny, [[5, np.zeros(tiny.config.dim + 1)]])
+            masked_outputs(tiny, [[5, np.zeros(tiny.config.dim + 1)]], [0])
 
     def test_mixed_length_batch_matches_batch_of_one(self):
         # token and vector-slot sequences of several lengths, repeated lengths
-        # included: each comes back in input order with the bits it has alone
+        # included, at every position: each row comes back in input order
+        # with the bits it has alone
         for dim, heads in ((16, 2), (48, 4), (64, 4)):
             ckpt = synthetic_checkpoint(dim=dim, layers=2, heads=heads, vocab_size=40,
                                         max_len=16, seed=dim, dtype=np.float32)
             rng = np.random.default_rng(dim)
             vec = rng.normal(size=dim).astype(np.float32)
-            seqs = [[5, 6, 7, 8, 9, 10], [11, vec, 12], [13], [14, 15, 16],
-                    list(rng.integers(5, 40, 16)), [vec, 17, 18, 19, 20, 21]]
-            batch = encode(ckpt, seqs)
-            assert [h.shape for h in batch] == [(len(s), dim) for s in seqs]
-            for seq, h in zip(seqs, batch):
-                npt.assert_array_equal(h, encode(ckpt, [seq])[0])
+            seqs, positions = _every_position(
+                [[5, 6, 7, 8, 9, 10], [11, vec, 12], [13], [14, 15, 16],
+                 list(rng.integers(5, 40, 16)), [vec, 17, 18, 19, 20, 21]])
+            batch = masked_outputs(ckpt, seqs, positions)
+            assert batch.shape == (len(seqs), dim)
+            npt.assert_array_equal(batch, _one_at_a_time(ckpt, seqs, positions))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layers", [0, 1, 2])
     @pytest.mark.parametrize("dim,heads", [(16, 2), (48, 4), (64, 4)])
-    def test_positions_give_the_rows_of_a_full_encode(self, dim, heads, layers, dtype):
+    def test_pruned_last_layer_gives_the_rows_of_a_full_pass(self, monkeypatch, dim, heads,
+                                                             layers, dtype):
         # the last layer past attention runs on the picked rows only; each row
         # keeps its bits, in a group of one, for a one-token sequence, with
         # vector slots and in groups of 2 to 64 sequences of one length
         ckpt = synthetic_checkpoint(dim=dim, layers=layers, heads=heads, vocab_size=40,
                                     max_len=16, seed=dim + layers, dtype=dtype)
         rng = np.random.default_rng(dim + layers)
+        batches = []
         for size, n in ((1, 1), (1, 9), (3, 1), (2, 2), (5, 7), (64, 16)):
             seqs = [list(rng.integers(5, 40, n)) for _ in range(size)]
             for seq in seqs[::2]:
                 seq[rng.integers(n)] = rng.normal(size=dim).astype(dtype)
-            positions = [int(p) for p in rng.integers(n, size=size)]
-            full = encode(ckpt, seqs)
-            rows = encode(ckpt, seqs, positions)
-            assert all(r.shape == (dim,) and r.dtype == dtype for r in rows)
-            for i, p in enumerate(positions):
-                npt.assert_array_equal(rows[i], full[i][p])
+            batches.append((seqs, [int(p) for p in rng.integers(n, size=size)]))
+        pruned = [masked_outputs(ckpt, seqs, positions) for seqs, positions in batches]
+        assert all(r.shape == (len(s), dim) and r.dtype == dtype
+                   for r, (s, _) in zip(pruned, batches))
+        _unpruned(monkeypatch)
+        for rows, (seqs, positions) in zip(pruned, batches):
+            npt.assert_array_equal(rows, masked_outputs(ckpt, seqs, positions))
 
     def test_position_outside_its_sequence_rejected(self, tiny):
         for positions in ([0, 3], [-1, 0]):
             with pytest.raises(IndexError):
-                encode(tiny, [[5, 6, 7], [8, 9, 10]], positions)
+                masked_outputs(tiny, [[5, 6, 7], [8, 9, 10]], positions)
 
-    def test_empty_batch_and_empty_sequence(self, tiny):
-        assert encode(tiny, []) == []
+    def test_empty_sequence_rejected(self, tiny):
         with pytest.raises(ContractError):
-            encode(tiny, [[5], []])
+            masked_outputs(tiny, [[5], []], [0, 0])
 
 
-class TestOutputRepr:
+class TestHead:
     def test_identity_head_layernorm_norm_is_sqrt_d(self):
         ckpt = synthetic_checkpoint(dim=16, layers=0, heads=2, vocab_size=20,
                                     max_len=8, seed=2, dtype=np.float64)
@@ -171,34 +199,36 @@ class TestOutputRepr:
         ckpt.params["head.b"].data[:] = 0.0
         cfg = ckpt.config
         object.__setattr__(cfg, "ln_eps", 0.0)
-        h = encode(ckpt, [[5, 6]])[0]
-        r = output_repr(ckpt, h)
+        r = masked_outputs(ckpt, *_every_position([[5, 6]]))
         assert r.shape == (2, 16)
         npt.assert_allclose(np.linalg.norm(r, axis=1), np.sqrt(16), atol=1e-9)
 
     def test_identical_inputs_identical_outputs(self, tiny):
-        h = encode(tiny, [[5, 6, 7]])[0]
-        r = output_repr(tiny, np.vstack([h[1], h[1]]))
+        vec = np.full(tiny.config.dim, 0.3, np.float32)  # a vector slot: never merged
+        r = masked_outputs(tiny, [[5, vec, 7], [5, vec, 7]], [1, 1])
         npt.assert_array_equal(r[0], r[1])
 
     def test_differs_across_positions(self, trained_bits):
         _, sentences, ckpt = trained_bits
-        h = encode(ckpt, [sentences[0].tokens])[0]
-        r = output_repr(ckpt, h[[0, -1]])
+        tokens = sentences[0].tokens
+        r = masked_outputs(ckpt, [tokens, tokens], [0, len(tokens) - 1])
         assert np.abs(r[0] - r[1]).max() > 1e-6
 
-    def test_stack_matches_row_by_row(self):
-        # a head row has the same float32 bits in a stack of 1, 2 or 32
+    def test_chunk_size_not_visible_at_each_width(self, monkeypatch):
+        # a row has the same float32 bits in a chunk of 1, 2 or 32
+        import pelt.model
         for dim, heads in ((16, 2), (48, 4), (64, 4)):
             ckpt = synthetic_checkpoint(dim=dim, layers=1, heads=heads, vocab_size=40,
                                         max_len=16, seed=6, dtype=np.float32)
             rng = np.random.default_rng(6)
-            h = np.vstack(encode(ckpt, [rng.integers(5, 40, 16) for _ in range(4)]))
-            stacked = output_repr(ckpt, h)
-            assert stacked.shape == h.shape and stacked.dtype == np.float32
+            seqs = [list(rng.integers(5, 40, 16)) for _ in range(64)]
+            positions = [int(p) for p in rng.integers(16, size=64)]
+            stacked = masked_outputs(ckpt, seqs, positions)
+            assert stacked.shape == (64, dim) and stacked.dtype == np.float32
             for m in (1, 2, 32):
-                rows = np.vstack([output_repr(ckpt, h[i:i + m]) for i in range(0, len(h), m)])
-                npt.assert_array_equal(rows, stacked)
+                monkeypatch.setattr(pelt.model, "_MASKED_SLICE", m)
+                npt.assert_array_equal(masked_outputs(ckpt, seqs, positions), stacked)
+            monkeypatch.undo()
 
 
 @pytest.fixture(scope="module")
@@ -219,21 +249,37 @@ def masked_batch(tiny):
 
 
 def _one_at_a_time(ckpt, seqs, positions):
-    """Encode each sequence alone and run the head on a stack of two rows."""
-    rows = [encode(ckpt, [seq])[0][pos] for seq, pos in zip(seqs, positions)]
-    return np.vstack([output_repr(ckpt, np.stack([r, r]))[:1] for r in rows])
+    """masked_outputs of each sequence alone."""
+    return np.vstack([masked_outputs(ckpt, [seq], [pos]) for seq, pos in zip(seqs, positions)])
 
 
 class TestMaskedOutputs:
-    def test_single_occurrence_composes_encode_and_head(self, tiny, masked_batch):
+    def test_batch_equals_one_at_a_time(self, tiny, masked_batch):
+        # more sequences than one chunk, of many lengths: unpadded chunks of
+        # one length give the bits of one sequence at a time
         seqs, positions = masked_batch
-        npt.assert_array_equal(masked_outputs(tiny, seqs[:1], positions[:1]),
-                               _one_at_a_time(tiny, seqs[:1], positions[:1]))
-        # more sequences than one slice, of many lengths: unpadded encode and
-        # one stacked head call per slice give the bits of one at a time
         out = masked_outputs(tiny, seqs, positions)
         assert len({len(s) for s in seqs}) > 1 and out.dtype == np.float32
         npt.assert_array_equal(out, _one_at_a_time(tiny, seqs, positions))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunk_of_one_and_one_token_sequences(self, monkeypatch, dtype):
+        # 65 inputs of one length make a chunk of 64 and a chunk of one; a
+        # one-token sequence runs alone in its length group, then in a group
+        ckpt = synthetic_checkpoint(dim=16, layers=2, heads=2, vocab_size=40,
+                                    max_len=16, seed=12, dtype=dtype)
+        rng = np.random.default_rng(12)
+        seqs = [list(rng.integers(5, 40, 7)) for _ in range(65)]
+        for seq in seqs[::5]:
+            seq[rng.integers(7)] = rng.normal(size=16).astype(dtype)
+        positions = [int(p) for p in rng.integers(7, size=65)]
+        sizes = _encoded_batches(monkeypatch)
+        for ones in ([[MASK_ID]], [[MASK_ID], [5], [rng.normal(size=16).astype(dtype)]]):
+            batch, where = seqs + ones, positions + [0] * len(ones)
+            sizes.clear()
+            out = masked_outputs(ckpt, batch, where)
+            assert sorted(sizes) == sorted([64, 1, len(ones)])
+            npt.assert_array_equal(out, _one_at_a_time(ckpt, batch, where))
 
     def test_order_matches_input(self, tiny, masked_batch):
         seqs, positions = masked_batch
@@ -246,7 +292,7 @@ class TestMaskedOutputs:
 
     def test_repeated_inputs_are_encoded_once(self, tiny, monkeypatch):
         # 150 sequences over 40 distinct (tokens, position) pairs, repeats far
-        # apart across slices, and equal tokens at different positions
+        # apart across chunks, and equal tokens at different positions
         import pelt.model
         rng = np.random.default_rng(9)
         pairs = []
@@ -256,12 +302,9 @@ class TestMaskedOutputs:
         picks = rng.integers(len(pairs), size=150)
         seqs = [list(pairs[j][0]) if k % 2 else pairs[j][0] for k, j in enumerate(picks)]
         positions = [pairs[j][1] for j in picks]
-        encoded = []
-        encode = pelt.model.encode
-        monkeypatch.setattr(pelt.model, "encode",
-                            lambda ckpt, s, p: encoded.extend(s) or encode(ckpt, s, p))
+        encoded = _encoded_batches(monkeypatch)
         out = masked_outputs(tiny, seqs, positions)
-        assert len(encoded) == len({pairs[j] for j in picks})
+        assert sum(encoded) == len({pairs[j] for j in picks})
         npt.assert_array_equal(out, _one_at_a_time(tiny, seqs, positions))
         monkeypatch.setattr(pelt.model, "_MASKED_SLICE", 3)
         npt.assert_array_equal(masked_outputs(tiny, seqs, positions), out)
@@ -291,7 +334,7 @@ class TestMaskedOutputs:
     def test_infused_slots_equal_the_float64_reference(self):
         # cloze queries with table vectors spliced in, each all-token query
         # twice, and one sequence alone in its length group: 70 sequences of
-        # many lengths, more than one slice, against the reference one at a time
+        # many lengths, more than one chunk, against the reference one at a time
         ref = _bench_reference()
         bundle = generate_corpus(CorpusConfig(n_entities=24, entity_slot_budget=300,
                                               lookup_per_entity=4, zero_train_entities=2,
@@ -359,12 +402,12 @@ class TestMlmLoss:
                                     max_len=8, seed=4, dtype=np.float64)
         token = 17
         other = [5, MASK_ID, 9]  # unrelated masked input, token 17 absent
-        h0 = encode(ckpt, [[token]])[0]
-        r = output_repr(ckpt, encode(ckpt, [other])[0][1:2])[0]
+        h0 = hidden_states(ckpt, [token])
+        r = masked_outputs(ckpt, [other], [1])[0]
         logit0 = ckpt.params["emb.word"].data[token] @ r
         ckpt.params["emb.word"].data[token, 3] += 0.5
-        h1 = encode(ckpt, [[token]])[0]
-        r1 = output_repr(ckpt, encode(ckpt, [other])[0][1:2])[0]
+        h1 = hidden_states(ckpt, [token])
+        r1 = masked_outputs(ckpt, [other], [1])[0]
         logit1 = ckpt.params["emb.word"].data[token] @ r1
         assert np.abs(h1 - h0).max() > 1e-9  # input side moved
         assert abs(logit1 - logit0) > 1e-9  # output side moved
@@ -530,6 +573,12 @@ class TestTrain:
         config = ModelConfig(dim=16, layers=1, heads=2, max_len=32, vocab_size=64)
         with pytest.raises(ConfigError, match="0 < lr < inf and 0 < mask_rate <= 1"):
             train_mlm(sentences, config, steps=1, lr=lr, mask_rate=mask_rate)
+
+    def test_negative_log_every_rejected(self, trained_bits):
+        _, sentences, _ = trained_bits
+        config = ModelConfig(dim=16, layers=1, heads=2, max_len=32, vocab_size=64)
+        with pytest.raises(ConfigError, match="log_every >= 0, got -1"):
+            train_mlm(sentences, config, steps=1, lr=1e-3, log_every=-1)
 
     @pytest.mark.parametrize("steps,batch", [(-1, 32), (1, 0)])
     def test_negative_steps_or_empty_batch_rejected(self, trained_bits, steps, batch):

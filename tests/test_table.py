@@ -10,6 +10,7 @@ from pelt.checkpoint import fingerprint
 from pelt.corpus import CorpusConfig, generate_corpus, index_occurrences, parse_corpus
 from pelt.errors import (ConfigError, DegenerateDirectionError,
                          FingerprintError, FormatError, NoOccurrencesError)
+from pelt.model import masked_outputs
 from pelt.synth import synthetic_checkpoint, synthetic_occurrences
 from pelt.table import (DirectionSet, EntityEmbeddingTable, build_table,
                         collect_directions, full_step_cosine,
@@ -87,10 +88,8 @@ class TestBuildEmbedding:
 
 
 def _one_by_one(ckpt, occurrences):
-    """Encode each occurrence alone and run the head on a stack of two rows."""
-    from pelt.model import encode, output_repr
-    rows = [encode(ckpt, [o.tokens])[0][o.mask_pos] for o in occurrences]
-    return np.vstack([output_repr(ckpt, np.stack([r, r]))[:1] for r in rows])
+    """masked_outputs of each occurrence alone."""
+    return np.vstack([masked_outputs(ckpt, [o.tokens], [o.mask_pos]) for o in occurrences])
 
 
 class TestCollect:
