@@ -113,6 +113,8 @@ def _cmd_train(args):
         ln_eps=args.ln_eps,
         seed=args.seed,
     )
+    model_mod.check_train_args(sentences, config, args.steps, args.lr, args.mask_rate,
+                               args.batch, args.log_every)
     _provenance(args.seed)
     ckpt = model_mod.train_mlm(
         sentences, config,

@@ -246,9 +246,8 @@ def _mask_batch(seqs, picks, rng, mask_rate):
     return tokens, targets
 
 
-def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
-              batch_size=32, log_every=100):
-    """Train from scratch; deterministic for a fixed (seed, thread count)."""
+def check_train_args(sentences, config, steps, lr, mask_rate, batch_size, log_every):
+    """Reject the corpus or settings ``train_mlm`` cannot run with."""
     if not sentences:
         raise ContractError("train corpus is empty")
     if steps < 0 or batch_size < 1:
@@ -257,12 +256,18 @@ def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
         raise ConfigError(f"need 0 < lr < inf and 0 < mask_rate <= 1, got {lr} and {mask_rate}")
     if log_every < 0:
         raise ConfigError(f"need log_every >= 0, got {log_every}")
+    for s in sentences:
+        if len(s.tokens) > config.max_len:
+            raise LengthError(f"training sentence of {len(s.tokens)} tokens exceeds "
+                              f"max length {config.max_len}")
+
+
+def train_mlm(sentences, config, steps, lr, mask_rate=0.15, seed=0,
+              batch_size=32, log_every=100):
+    """Train from scratch; deterministic for a fixed (seed, thread count)."""
+    check_train_args(sentences, config, steps, lr, mask_rate, batch_size, log_every)
     params = init_params(config, np.float32)
     seqs = [np.asarray(s.tokens, dtype=np.int64) for s in sentences]
-    for seq in seqs:
-        if seq.size > config.max_len:
-            raise LengthError(f"training sentence of {seq.size} tokens exceeds "
-                              f"max length {config.max_len}")
     rng = np.random.default_rng(seed)
     adam = Adam(params, lr)
     t0 = time.time()

@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 from pelt.checkpoint import fingerprint
 from pelt.corpus import BUCKET_LABELS, OCCURRENCE_CAP, bucket_label, parse_marked_line
 from pelt.errors import ContractError, FormatError
-from pelt.infuse import cloze_predict_infused
-from pelt.model import predict_topk
+from pelt.infuse import augment, cloze_predict_infused
+from pelt.model import masked_outputs, predict_topk, rank_tokens
 from pelt.table import (check_norm_l, collect_directions, table_from_directions,
                         verify_table)
 from pelt.vocab import MASK_ID
@@ -83,24 +83,12 @@ def candidate_pools(catalog, vocab):
     return {rel: sorted(ids) for rel, ids in pools.items()}
 
 
-def run_probe(queries, vocab, ckpt, table=None, pools=None):
-    """Evaluate P@1 per relation and per frequency bucket.
-
-    ``table=None`` runs the vanilla model; an empty table gives identical
-    results. A table is verified against ``ckpt`` once, before any query.
-    ``pools`` (from ``candidate_pools``) ranks each query only over its
-    relation's pool; a relation without a pool, or ``pools=None``, ranks
-    over the whole vocabulary.
-    """
+def _parse_queries(queries, vocab):
+    """(kept, rejected): (query, sentence, [MASK] position) of each query
+    the model can answer, and (subject, reason) of each one dropped."""
     if not queries:
         raise ContractError("cloze set is empty")
-    if table is not None:
-        verify_table(table, ckpt)
-    pools = pools or {}
-    per_relation = {}
-    per_bucket = {}
-    rejected = []
-    outcomes = []
+    kept, rejected = [], []
     for q in queries:
         if q.answer not in vocab:
             rejected.append((q.subject, f"answer {q.answer!r} not in vocabulary"))
@@ -110,21 +98,45 @@ def run_probe(queries, vocab, ckpt, table=None, pools=None):
         if len(positions) != 1:
             rejected.append((q.subject, f"{len(positions)} [MASK] tokens in query"))
             continue
-        candidates = pools.get(q.relation)
-        if table is not None:
-            ranked = cloze_predict_infused(sentence, positions[0], table, ckpt, 1,
-                                           candidates)
-        else:
-            ranked = predict_topk(ckpt, sentence.tokens, positions[0], 1, candidates)
-        hit = int(ranked[0][0] == vocab.id(q.answer))
-        outcomes.append((q.subject, hit))
+        kept.append((q, sentence, positions[0]))
+    return kept, rejected
+
+
+def _report(mode, model_fingerprint, norm_l, kept, rejected, hits):
+    """Tally one 0/1 hit per kept query by relation and by bucket."""
+    per_relation, per_bucket = {}, {}
+    for (q, _, _), hit in zip(kept, hits):
         for counts, key in ((per_relation, q.relation),
                             (per_bucket, bucket_label(q.subject_freq))):
             c, t = counts.get(key, (0, 0))
             counts[key] = (c + hit, t + 1)
+    return ProbeReport(mode, model_fingerprint, norm_l, per_relation, per_bucket, rejected,
+                       [(q.subject, hit) for (q, _, _), hit in zip(kept, hits)])
+
+
+def run_probe(queries, vocab, ckpt, table=None, pools=None):
+    """Evaluate P@1 per relation and per frequency bucket.
+
+    ``table=None`` runs the vanilla model; an empty table gives identical
+    results. A table is verified against ``ckpt`` once, before any query is
+    predicted. ``pools`` (from ``candidate_pools``) ranks each query only
+    over its relation's pool; a relation without a pool, or ``pools=None``,
+    ranks over the whole vocabulary.
+    """
+    kept, rejected = _parse_queries(queries, vocab)
+    if table is not None:
+        verify_table(table, ckpt)
+    pools = pools or {}
+    hits = []
+    for q, sentence, pos in kept:
+        candidates = pools.get(q.relation)
+        if table is not None:
+            ranked = cloze_predict_infused(sentence, pos, table, ckpt, 1, candidates)
+        else:
+            ranked = predict_topk(ckpt, sentence.tokens, pos, 1, candidates)
+        hits.append(int(ranked[0][0] == vocab.id(q.answer)))
     mode, norm_l = ("infused", table.norm_l) if table is not None else ("vanilla", 0.0)
-    return ProbeReport(mode, fingerprint(ckpt).hex(), norm_l,
-                       per_relation, per_bucket, rejected, outcomes)
+    return _report(mode, fingerprint(ckpt).hex(), norm_l, kept, rejected, hits)
 
 
 @dataclass
@@ -150,17 +162,28 @@ def sweep_norm(queries, vocab, ckpt, lookup_sentences, entity_ids, l_values,
                cap=OCCURRENCE_CAP, pools=None):
     """Probe one table per distinct L; directions are collected once and rescaled.
 
-    Every L is checked before anything is collected, and a repeated L is
-    probed once. Each probe is one ``run_probe`` call with ``pools``. The
-    selected L is the first best of the ascending curve, so ties in mean P@1
-    break toward the smaller L.
+    Every L is checked and the cloze set parsed before anything is collected.
+    Every kept query is augmented against each distinct L's table (stamped
+    with the fingerprint of the directions, collected from ``ckpt``), and one
+    batch-invariant ``masked_outputs`` call encodes them all, so each curve
+    value equals ``run_probe(..., table, pools).macro_p1``. The selected L is
+    the first best of the ascending curve: ties break toward the smaller L.
     """
     values = [float(l) for l in l_values]
     for l in values:
         check_norm_l(l)
     if not values:
         raise ContractError("no norm values to sweep")
+    kept, rejected = _parse_queries(queries, vocab)
     dirset = collect_directions(entity_ids, lookup_sentences, ckpt, cap=cap)
-    curve = [(l, run_probe(queries, vocab, ckpt, table_from_directions(dirset, l),
-                           pools).macro_p1) for l in sorted(set(values))]
+    tables = [table_from_directions(dirset, l) for l in sorted(set(values))]
+    jobs = [(q, *augment(sentence, t), pos) for t in tables for q, sentence, pos in kept]
+    rows = masked_outputs(ckpt, [slots for _, slots, _, _ in jobs],
+                          [int(prov[pos]) for _, _, prov, pos in jobs])
+    pools, n = pools or {}, len(kept)
+    hits = [int(rank_tokens(ckpt, r, 1, pools.get(q.relation))[0][0] == vocab.id(q.answer))
+            for r, (q, *_) in zip(rows, jobs)]
+    curve = [(t.norm_l, _report("infused", dirset.fingerprint.hex(), t.norm_l, kept,
+                                rejected, hits[i * n:(i + 1) * n]).macro_p1)
+             for i, t in enumerate(tables)]
     return SweepResult(curve, max(curve, key=lambda point: point[1])[0], dirset)

@@ -1,0 +1,24 @@
+"""Smoke test of the traced benchmark: one pass of each workload must run.
+
+``bench/run.py --trace 1`` reads per-call timings of the probe predictors
+and checks every output against its float64 reference, so a change that
+stops calling a traced function, or moves an output, fails here first.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("workload", ["train", "probe"])
+def test_traced_pass_exits_0_and_is_correct(workload):
+    out = subprocess.run([sys.executable, os.path.join("bench", "run.py"), "--workload",
+                          workload, "--seed", "1", "--seconds", "0", "--trace", "1"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1])["correct"] is True, out.stdout

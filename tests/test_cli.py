@@ -305,7 +305,7 @@ class TestUsageAndConfig:
                                             ("--lr", "-1"), ("--lr", "0"),
                                             ("--mask-rate", "1.5"), ("--mask-rate", "0"),
                                             ("--mask-rate", "nan"), ("--ln-eps", "inf"),
-                                            ("--log-every", "-1")])
+                                            ("--log-every", "-1"), ("--maxlen", "5")])
     def test_out_of_range_train_value_exits_1(self, pipeline, tmp_path, capsys,
                                               flag, value):
         _, data, _ = pipeline
@@ -314,9 +314,19 @@ class TestUsageAndConfig:
                    "--dim", "8", "--heads", "2", "--maxlen", "40", "--log-every", "0",
                    f"{flag}={value}"])  # "=": argparse reads a lone "-inf" as a flag
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert captured.out == ""  # rejected before the provenance header
         assert not out.exists()
+
+    def test_empty_train_corpus_exits_1_before_the_header(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        empty = tmp_path / "data"
+        shutil.copytree(data, empty)
+        (empty / "train.txt").write_text("")
+        assert main(["train", "--data", str(empty), "--out", str(tmp_path / "m.bin")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: train corpus is empty\n"
 
     @pytest.mark.parametrize("flag,value", [("--budget", "-1"), ("--seed", "-1"),
                                             ("--zipf", "-1"), ("--zipf", "nan"),

@@ -7,11 +7,15 @@ import pytest
 
 from pelt.checkpoint import fingerprint
 from pelt.cloze import ClozeQuery, load_cloze, save_cloze
-from pelt.corpus import BUCKET_LABELS, CorpusConfig, generate_corpus, parse_corpus
-from pelt.errors import ConfigError, ContractError, FingerprintError
+from pelt.corpus import (BUCKET_LABELS, CorpusConfig, generate_corpus, parse_corpus,
+                         parse_marked_line)
+from pelt.errors import ConfigError, ContractError, FingerprintError, LengthError
+from pelt.model import Checkpoint, ModelConfig, masked_outputs, predict_topk, train_mlm
 from pelt.probe import ProbeReport, candidate_pools, run_probe, sweep_norm
 from pelt.synth import synthetic_checkpoint
-from pelt.table import build_table, table_from_directions
+from pelt.table import build_table, collect_directions, table_from_directions
+from pelt.tensor import ParamStore
+from pelt.vocab import MASK_ID
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +28,20 @@ def world():
                                 seed=41, dtype=np.float32)
     lookup = parse_corpus(bundle.lookup_lines, bundle.vocab)
     return bundle, ckpt, lookup
+
+
+@pytest.fixture(scope="module")
+def trained(world):
+    """A briefly trained model in float32 and the same weights in float64."""
+    bundle, _, _ = world
+    config = ModelConfig(dim=16, layers=1, heads=2, max_len=40,
+                         vocab_size=len(bundle.vocab), seed=41)
+    ckpt = train_mlm(parse_corpus(bundle.train_lines, bundle.vocab), config, 400, 1e-2,
+                     log_every=0)
+    params = ParamStore()
+    for name, t in ckpt.params.items():
+        params.add(name, t.data.astype(np.float64))
+    return {np.float32: ckpt, np.float64: Checkpoint(config, params)}
 
 
 class TestRunProbe:
@@ -190,17 +208,72 @@ class TestSweep:
         assert result.selected_l == min(winners)
 
     def test_duplicate_l_probed_once(self, world, monkeypatch):
+        # the sweep encodes every (distinct L, kept query) pair in one call
         bundle, ckpt, lookup = world
-        probed = []
+        calls = []
 
-        def counted(queries, vocab, ckpt, table=None, pools=None):
-            probed.append(table.norm_l)
-            return run_probe(queries, vocab, ckpt, table, pools)
+        def counted(ckpt, seqs, positions):
+            calls.append(len(seqs))
+            return masked_outputs(ckpt, seqs, positions)
 
-        monkeypatch.setattr("pelt.probe.run_probe", counted)
+        monkeypatch.setattr("pelt.probe.masked_outputs", counted)
+        kept = len(run_probe(bundle.queries, bundle.vocab, ckpt).outcomes)
         result = sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
                             bundle.catalog.ids(), iter([3.0, 2.0, 3, 2.0]))
-        assert [l for l, _ in result.curve] == [2.0, 3.0] and probed == [2.0, 3.0]
+        assert [l for l, _ in result.curve] == [2.0, 3.0] and calls == [2 * kept]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_batched_sweep_equals_run_probe_per_l(self, world, trained, dtype, restrict):
+        # each answer is the vanilla top-1, so the curve moves wherever infusion
+        # flips a prediction, and a row mixed up between queries shows
+        bundle, _, lookup = world
+        ckpt = trained[dtype]
+        pools = candidate_pools(bundle.catalog, bundle.vocab) if restrict else None
+        queries = []
+        for q in bundle.queries:
+            tokens = parse_marked_line(q.query, bundle.vocab).tokens
+            top = predict_topk(ckpt, tokens, tokens.index(MASK_ID), 1,
+                               (pools or {}).get(q.relation))[0][0]
+            queries.append(ClozeQuery(q.query, q.subject, bundle.vocab.tokens[top],
+                                      q.relation, q.subject_freq))
+        q = bundle.queries[0]
+        queries += [ClozeQuery(q.query, q.subject, "not-a-token", q.relation, q.subject_freq),
+                    ClozeQuery(q.query + " [MASK]", q.subject, q.answer, q.relation,
+                               q.subject_freq)]
+        left_out = bundle.queries[1].subject  # its query stays all tokens
+        ids = [eid for eid in bundle.catalog.ids() if eid != left_out]
+        result = sweep_norm(queries, bundle.vocab, ckpt, lookup, ids, range(1, 11), pools=pools)
+        assert left_out not in result.directions.directions
+        assert min(p1 for _, p1 in result.curve) < 1.0  # infusion flips some
+        for l, p1 in result.curve:
+            report = run_probe(queries, bundle.vocab, ckpt,
+                               table_from_directions(result.directions, l), pools)
+            assert len(report.rejected) == 2 and report.macro_p1 == p1
+
+    def test_empty_cloze_set_rejected_before_collecting(self, world, monkeypatch):
+        bundle, ckpt, lookup = world
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("collected directions")
+
+        monkeypatch.setattr("pelt.probe.collect_directions", refuse)
+        with pytest.raises(ContractError, match="cloze set is empty"):
+            sweep_norm([], bundle.vocab, ckpt, lookup, bundle.catalog.ids(), [1.0])
+        with pytest.raises(ConfigError, match="finite and positive"):
+            sweep_norm([], bundle.vocab, ckpt, lookup, bundle.catalog.ids(), [0.0])
+
+    def test_too_long_augmented_query_is_a_length_error(self, world, monkeypatch):
+        # every query fits max_len bare, the longest not with its three infused slots
+        bundle, ckpt, lookup = world
+        dirset = collect_directions(bundle.catalog.ids(), lookup, ckpt)
+        short = synthetic_checkpoint(dim=16, layers=1, heads=2, vocab_size=len(bundle.vocab),
+                                     max_len=11, seed=41, dtype=np.float32)
+        assert run_probe(bundle.queries, bundle.vocab, short).query_count() > 0
+        monkeypatch.setattr("pelt.probe.collect_directions", lambda *a, **k: dirset)
+        with pytest.raises(LengthError, match="exceeds max length 11"):
+            sweep_norm(bundle.queries, bundle.vocab, short, lookup,
+                       bundle.catalog.ids(), [1.0])
 
     def test_directions_reused_cosine_one(self, world):
         bundle, ckpt, lookup = world
