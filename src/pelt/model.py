@@ -10,13 +10,15 @@ over masked occurrences; predict_topk() ranks the vocabulary against one of
 them, with or without infused vectors. Each distinct all-token input is
 encoded once: each chunk of at most 64 inputs of one length is one unpadded
 no-grad pass of the encoder, whose last layer runs past attention on the
-masked rows only, and of the head. No result depends on the batching.
+masked rows only, and of the head. At the widths the tests check (D 16, 48,
+64) no result depends on the batching; at D >= 128 some rows do.
 Training (mlm_loss) and inference run the same encoder, built from the
 fused tape ops: six ``linear`` and one ``attention`` node per layer, and the
 tied head's loss is one ``tied_cross_entropy`` node. mlm_loss runs GELU on
 real tokens only, and in the last layer on masked ones only.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -30,6 +32,8 @@ from pelt.tensor import (ParamStore, Tensor, add, attention, gather_rows,
 from pelt.vocab import MASK_ID, PAD_ID
 
 _MASKED_SLICE = 64
+_LAYER_PARAMS = tuple(f"attn.{p}{c}" for p in "wb" for c in "qkvo") + (
+    "ln1.g", "ln1.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.g", "ln2.b")
 
 
 @dataclass(frozen=True)
@@ -69,14 +73,9 @@ def param_layout(config):
     d, f = config.dim, config.dim * config.ffn_mult
     yield from (("emb.word", (config.vocab_size, d)), ("emb.pos", (config.max_len, d)),
                 ("emb.ln.g", (d,)), ("emb.ln.b", (d,)))
-    for i in range(config.layers):
-        pre = f"layer{i}."
-        yield from ((f"{pre}attn.w{c}", (d, d)) for c in "qkvo")
-        yield from ((f"{pre}attn.b{c}", (d,)) for c in "qkvo")
-        yield from ((pre + "ln1.g", (d,)), (pre + "ln1.b", (d,)),
-                    (pre + "ffn.w1", (d, f)), (pre + "ffn.b1", (f,)),
-                    (pre + "ffn.w2", (f, d)), (pre + "ffn.b2", (d,)),
-                    (pre + "ln2.g", (d,)), (pre + "ln2.b", (d,)))
+    shapes = [(d, d)] * 4 + [(d,)] * 6 + [(d, f), (f,), (f, d)] + [(d,)] * 3
+    for names in _layer_names(config.layers):
+        yield from zip(names, shapes)
     yield from (("head.w", (d, d)), ("head.b", (d,)), ("head.ln.g", (d,)), ("head.ln.b", (d,)))
 
 
@@ -93,6 +92,12 @@ def init_params(config, dtype=np.float32):
     return p
 
 
+@functools.cache
+def _layer_names(layers):
+    """Each layer's parameter names, in _LAYER_PARAMS order."""
+    return tuple(tuple(f"layer{i}.{p}" for p in _LAYER_PARAMS) for i in range(layers))
+
+
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------
@@ -106,18 +111,16 @@ def _encoder(params, cfg, x, attn_bias, rows=None, live=None):
     last = cfg.layers - 1 if rows is not None and n > 1 else -1
     pos = gather_rows(params["emb.pos"], np.arange(n))
     h = layer_norm(add(x, pos), params["emb.ln.g"], params["emb.ln.b"], cfg.ln_eps)
-    for i in range(cfg.layers):
-        pre = f"layer{i}."
-        q, k, v = (linear(h, params[pre + "attn.w" + c], params[pre + "attn.b" + c])
-                   for c in "qkv")
-        ctx = attention(q, k, v, cfg.heads, attn_bias)
+    for i, names in enumerate(_layer_names(cfg.layers)):
+        (wq, wk, wv, wo, bq, bk, bv, bo,
+         g1, b1, w1, c1, w2, c2, g2, b2) = map(params.__getitem__, names)
+        ctx = attention(linear(h, wq, bq), linear(h, wk, bk), linear(h, wv, bv),
+                        cfg.heads, attn_bias)
         if i == last:
             ctx, h = gather_rows(ctx, rows), gather_rows(h, rows)
-        out = linear(ctx, params[pre + "attn.wo"], params[pre + "attn.bo"])
-        h = layer_norm(add(h, out), params[pre + "ln1.g"], params[pre + "ln1.b"], cfg.ln_eps)
-        f = gelu(linear(h, params[pre + "ffn.w1"], params[pre + "ffn.b1"]), live and live[i])
-        f = linear(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
-        h = layer_norm(add(h, f), params[pre + "ln2.g"], params[pre + "ln2.b"], cfg.ln_eps)
+        h = layer_norm(add(h, linear(ctx, wo, bo)), g1, b1, cfg.ln_eps)
+        f = linear(gelu(linear(h, w1, c1), live and live[i]), w2, c2)
+        h = layer_norm(add(h, f), g2, b2, cfg.ln_eps)
     if rows is not None and last < 0:
         h = gather_rows(h, rows)
     return h
@@ -140,8 +143,9 @@ def masked_outputs(ckpt, seqs, positions):
     _MASKED_SLICE: one unpadded no-grad pass of the encoder, its last layer
     past attention on the masked rows only, and of the head. A chunk of one
     sequence runs its row twice, since numpy's one-row product rounds
-    differently from a stack. So the (m, D) result, in input order, equals
-    encoding one sequence at a time, whatever the chunk size.
+    differently from a stack. So at D 16, 48 and 64 (tested; not at D >= 128)
+    the (m, D) result, in input order, equals encoding one sequence at a time,
+    whatever the chunk size.
     """
     cfg, emb = ckpt.config, ckpt.params["emb.word"].data
     first, src = {}, list(range(len(seqs)))  # src[i]: the index whose row i copies

@@ -11,16 +11,20 @@ numpy calls of the generic matmul/add/reshape/transpose/softmax composition
 they replace, on the same operand layouts, so their bits are the
 composition's; ``gelu`` (on every row, or on chosen rows only) and
 ``layer_norm`` work in place. ``ParamStore.pack`` gives the parameters one
-buffer, their gradients one more.
+buffer, their gradients one more. The exact attention row max reduces a
+key-major copy: numpy's max over a short last axis costs ~50 ns a row.
+gather_rows' backward adds at flat row * D + col: np.add.at's fast 1-D path.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
 from pelt.errors import ContractError, ShapeError
 
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
+_SQRT2 = {dt: np.sqrt(2.0, dtype=dt) for dt in _ALLOWED}  # gelu's divisor, rounded in each dtype
 
 _grad_enabled = True
 _erf = None  # scipy.special.erf, most of pelt's import time: the first gelu imports it
@@ -118,11 +122,11 @@ def _accum(t, g, owned=True):
 
 
 def _result(data, parents, backward):
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    """An op's output around its own ndarray ``data`` (no Tensor.__init__ coercion)."""
+    out = Tensor.__new__(Tensor)
+    taped = _grad_enabled and any(p.requires_grad for p in parents)
+    out.data, out.grad, out._slot, out.requires_grad = data, None, None, taped
+    out._parents, out._backward = (tuple(parents), backward) if taped else ((), None)
     return out
 
 
@@ -136,11 +140,13 @@ def _check_same_dtype(*tensors):
 
 def linear(x, w, b):
     """x @ w + b for (..., D) rows, a (D, N) weight and an (N,) bias."""
-    _check_same_dtype(x, w, b)
-    if w.ndim != 2 or x.data.shape[-1] != w.data.shape[0] or b.shape != w.shape[1:]:
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.dtype != wd.dtype or bd.dtype != wd.dtype:
+        _check_same_dtype(x, w, b)
+    if wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
         raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape} do not line up")
-    data = x.data @ w.data
-    data += b.data
+    data = xd @ wd
+    data += bd
 
     def backward(g):
         if b.requires_grad:
@@ -149,9 +155,9 @@ def linear(x, w, b):
                 gb = gb.sum(axis=0)
             _accum(b, gb, owned=gb is not g)
         if x.requires_grad:
-            _accum(x, g @ w.data.T)
+            _accum(x, g @ wd.T)
         if w.requires_grad:
-            _accum(w, x.data.reshape(-1, w.data.shape[0]).T @ g.reshape(-1, g.shape[-1]))
+            _accum(w, xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, g.shape[-1]))
 
     return _result(data, (x, w, b), backward)
 
@@ -159,18 +165,20 @@ def linear(x, w, b):
 def attention(q, k, v, heads, bias=None):
     """softmax(q k^T / sqrt(D / heads) + bias) v per head of (B, n, D)
     projections, as one tape node; ``bias`` is None or a (B, 1, 1, n) key mask."""
-    _check_same_dtype(q, k, v)
-    b, n, d = q.shape
-    if k.shape != q.shape or v.shape != q.shape or d % heads:
+    qd, kd, vd = q.data, k.data, v.data
+    if kd.dtype != qd.dtype or vd.dtype != qd.dtype:
+        _check_same_dtype(q, k, v)
+    b, n, d = qd.shape
+    if kd.shape != qd.shape or vd.shape != qd.shape or d % heads:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
     hd = d // heads
-    c = float(1.0 / np.sqrt(hd))
-    qh, kh, vh = (t.data.reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for t in (q, k, v))
+    c = 1.0 / math.sqrt(hd)
+    qh, kh, vh = (a.reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for a in (qd, kd, vd))
     s = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     s *= c
     if bias is not None:
         s += bias
-    s -= s.max(axis=-1, keepdims=True)
+    s -= np.maximum.reduce(s.transpose(3, 0, 1, 2).copy(), axis=0)[..., None]
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     data = np.matmul(s, vh).transpose(0, 2, 1, 3).reshape(b, n, d)
@@ -191,10 +199,12 @@ def attention(q, k, v, heads, bias=None):
 
 def add(a, b):
     """a + b for a Tensor b of a's shape or of its trailing dims (a bias)."""
-    _check_same_dtype(a, b)
-    if b.shape != a.shape and a.shape[a.ndim - b.ndim:] != b.shape:
+    ad, bd = a.data, b.data
+    if ad.dtype != bd.dtype:
+        _check_same_dtype(a, b)
+    if bd.shape != ad.shape and ad.shape[ad.ndim - bd.ndim:] != bd.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not line up")
-    data = a.data + b.data
+    data = ad + bd
 
     def backward(g):
         if a.requires_grad:
@@ -211,18 +221,20 @@ def add(a, b):
 def gather_rows(table, indices):
     """Rows of a 2-D or larger table at flat indices over its leading axes;
     backward scatter-adds into the table."""
-    idx = np.asarray(indices)
-    if table.ndim < 2:
+    idx, td = np.asarray(indices), table.data
+    if td.ndim < 2:
         raise ShapeError(f"gather_rows: table must be 2-D or larger, got {table.shape}")
-    rows = table.data.reshape(-1, table.shape[-1])
-    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
-        raise IndexError(f"gather_rows: index out of range for table with {rows.shape[0]} rows")
+    rows = td.reshape(-1, td.shape[-1])
+    m, d = rows.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= m):
+        raise IndexError(f"gather_rows: index out of range for table with {m} rows")
     data = rows[idx]
 
     def backward(g):
         if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc.reshape(rows.shape), idx.reshape(-1), g.reshape(-1, rows.shape[1]))
+            acc = np.zeros_like(td)
+            flat = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+            np.add.at(acc.reshape(-1), flat, g.reshape(-1))
             _accum(table, acc)
 
     return _result(data, (table,), backward)
@@ -239,12 +251,13 @@ def gelu(a, rows=None):
     global _erf
     if _erf is None:
         from scipy.special import erf as _erf
-    x = a.data if rows is None else a.data.reshape(-1, a.shape[-1])[rows]
-    cdf = x / np.sqrt(2.0, dtype=x.dtype)
+    ad = a.data
+    x = ad if rows is None else ad.reshape(-1, ad.shape[-1])[rows]
+    cdf = x / _SQRT2[x.dtype]
     _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    data = x * cdf if rows is None else _scatter(x * cdf, rows, a.shape)
+    data = x * cdf if rows is None else _scatter(x * cdf, rows, ad.shape)
 
     def backward(g):
         d = x * -0.5
@@ -257,7 +270,7 @@ def gelu(a, rows=None):
         d += cdf
         d = d.astype(x.dtype, copy=False)
         d *= g if rows is None else g.reshape(-1, g.shape[-1])[rows]
-        _accum(a, d if rows is None else _scatter(d, rows, a.shape))
+        _accum(a, d if rows is None else _scatter(d, rows, ad.shape))
 
     return _result(data, (a,), backward)
 
@@ -277,17 +290,19 @@ def layer_norm(x, gain, bias, epsilon):
     """
     if epsilon < 0:
         raise ValueError(f"layer_norm: epsilon must be >= 0, got {epsilon}")
-    d = x.data.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    xd, gd, bd = x.data, gain.data, bias.data
+    d = xd.shape[-1]
+    if gd.shape != (d,) or bd.shape != (d,):
         raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} "
                          f"do not match feature size {d}")
-    _check_same_dtype(x, gain, bias)
-    xhat = x.data - _mean(x.data)
+    if gd.dtype != xd.dtype or bd.dtype != xd.dtype:
+        _check_same_dtype(x, gain, bias)
+    xhat = xd - _mean(xd)
     buf = xhat * xhat
     inv = 1.0 / np.sqrt(_mean(buf) + epsilon)
     xhat *= inv
-    data = np.multiply(xhat, gain.data, out=buf)
-    data += bias.data
+    data = np.multiply(xhat, gd, out=buf)
+    data += bd
 
     def backward(g):
         buf = g * xhat
@@ -296,7 +311,7 @@ def layer_norm(x, gain, bias, epsilon):
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
-            dxhat = g * gain.data
+            dxhat = g * gd
             m1 = _mean(dxhat)
             np.multiply(dxhat, xhat, out=buf)
             np.multiply(xhat, _mean(buf), out=buf)

@@ -44,6 +44,41 @@ def trained(world):
     return {np.float32: ckpt, np.float64: Checkpoint(config, params)}
 
 
+@pytest.fixture(scope="module")
+def top1_queries(world, trained):
+    """Per (dtype, restrict): the cloze queries, each answer replaced by the
+    trained model's vanilla top-1 (within its relation's pool when restricted).
+    Every query is a vanilla hit, so a sweep's curve moves wherever infusion
+    flips a prediction, and a row mixed up between queries shows."""
+    bundle = world[0]
+    pools = candidate_pools(bundle.catalog, bundle.vocab)
+    out = {}
+    for dtype, ckpt in trained.items():
+        for restrict in (False, True):
+            out[dtype, restrict] = []
+            for q in bundle.queries:
+                tokens = parse_marked_line(q.query, bundle.vocab).tokens
+                top = predict_topk(ckpt, tokens, tokens.index(MASK_ID), 1,
+                                   pools[q.relation] if restrict else None)[0][0]
+                out[dtype, restrict].append(ClozeQuery(q.query, q.subject,
+                                                       bundle.vocab.tokens[top], q.relation,
+                                                       q.subject_freq))
+    return out
+
+
+@pytest.fixture(scope="module")
+def moving(world, trained, top1_queries):
+    """(bundle, float32 trained model, lookup, pool-restricted top-1 queries,
+    pools): the sweep's curve over L in 1..10 on these is not constant."""
+    bundle, _, lookup = world
+    return (bundle, trained[np.float32], lookup, top1_queries[np.float32, True],
+            candidate_pools(bundle.catalog, bundle.vocab))
+
+
+def _moves(curve):
+    return len({p1 for _, p1 in curve}) > 1
+
+
 class TestRunProbe:
     def test_always_gold_stub_scores_one(self, world):
         # candidate pools collapsed to one gold answer per (unique) relation:
@@ -198,11 +233,12 @@ class TestRunProbe:
 
 
 class TestSweep:
-    def test_curve_covers_values_and_selects_argmax(self, world):
-        bundle, ckpt, lookup = world
-        result = sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
-                            bundle.catalog.ids(), range(1, 11))
+    def test_curve_covers_values_and_selects_argmax(self, moving):
+        bundle, ckpt, lookup, queries, pools = moving
+        result = sweep_norm(queries, bundle.vocab, ckpt, lookup,
+                            bundle.catalog.ids(), range(1, 11), pools=pools)
         assert [l for l, _ in result.curve] == [float(v) for v in range(1, 11)]
+        assert _moves(result.curve)
         best = max(p for _, p in result.curve)
         winners = [l for l, p in result.curve if p == best]
         assert result.selected_l == min(winners)
@@ -224,19 +260,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("restrict", [False, True])
-    def test_batched_sweep_equals_run_probe_per_l(self, world, trained, dtype, restrict):
-        # each answer is the vanilla top-1, so the curve moves wherever infusion
-        # flips a prediction, and a row mixed up between queries shows
+    def test_batched_sweep_equals_run_probe_per_l(self, world, trained, top1_queries,
+                                                  dtype, restrict):
         bundle, _, lookup = world
         ckpt = trained[dtype]
         pools = candidate_pools(bundle.catalog, bundle.vocab) if restrict else None
-        queries = []
-        for q in bundle.queries:
-            tokens = parse_marked_line(q.query, bundle.vocab).tokens
-            top = predict_topk(ckpt, tokens, tokens.index(MASK_ID), 1,
-                               (pools or {}).get(q.relation))[0][0]
-            queries.append(ClozeQuery(q.query, q.subject, bundle.vocab.tokens[top],
-                                      q.relation, q.subject_freq))
+        queries = list(top1_queries[dtype, restrict])
         q = bundle.queries[0]
         queries += [ClozeQuery(q.query, q.subject, "not-a-token", q.relation, q.subject_freq),
                     ClozeQuery(q.query + " [MASK]", q.subject, q.answer, q.relation,
@@ -287,21 +316,22 @@ class TestSweep:
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
             assert abs(cos - 1.0) < 1e-6
 
-    def test_sweep_deterministic(self, world):
-        bundle, ckpt, lookup = world
-        a = sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
-                       bundle.catalog.ids(), [1.0, 2.0])
-        b = sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
-                       bundle.catalog.ids(), [1.0, 2.0])
+    def test_sweep_deterministic(self, moving):
+        bundle, ckpt, lookup, queries, pools = moving
+        a, b = (sweep_norm(queries, bundle.vocab, ckpt, lookup, bundle.catalog.ids(),
+                           [1.0, 2.0, 3.0], pools=pools) for _ in range(2))
         assert a.curve == b.curve and a.selected_l == b.selected_l
+        assert _moves(a.curve)
 
-    def test_sweep_matches_direct_build(self, world):
-        bundle, ckpt, lookup = world
-        result = sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
-                            bundle.catalog.ids(), [4.0])
-        direct, _ = build_table(bundle.catalog.ids(), lookup, ckpt, 4.0)
-        report = run_probe(bundle.queries, bundle.vocab, ckpt, table=direct)
-        assert report.macro_p1 == result.curve[0][1]
+    def test_sweep_matches_direct_build(self, moving):
+        bundle, ckpt, lookup, queries, pools = moving
+        result = sweep_norm(queries, bundle.vocab, ckpt, lookup,
+                            bundle.catalog.ids(), [1.0, 2.0, 4.0], pools=pools)
+        assert _moves(result.curve)
+        for l, p1 in result.curve:
+            direct, _ = build_table(bundle.catalog.ids(), lookup, ckpt, l)
+            report = run_probe(queries, bundle.vocab, ckpt, table=direct, pools=pools)
+            assert report.macro_p1 == p1
 
     def test_empty_l_values_rejected(self, world):
         bundle, ckpt, lookup = world

@@ -487,6 +487,74 @@ class TestFusedOps:
             attention(x, x, x, 4)
 
 
+class TestFastPaths:
+    """attention's key-major row max and gather_rows' flat scatter-add against
+    the generic softmax and the 2-D np.add.at, bit for bit."""
+
+    @staticmethod
+    def _attention_pair(arrays, heads, bias, upstream):
+        def run(att):
+            store = ParamStore()
+            t = {name: store.add(name, a.copy()) for name, a in arrays.items()}
+            out = att(t["q"], t["k"], t["v"], heads, bias)
+            weighted_sum(out, upstream).backward()
+            return [out.data] + [p.grad for _, p in store.items()]
+
+        return run(attention), run(ref.attention)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 2, 32])
+    @pytest.mark.parametrize("n", [1, 2, 10, 16, 40])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_equals_generic_softmax(self, dtype, b, n, masked):
+        rng = np.random.default_rng(b * 100 + n)
+        arrays = {c: rng.normal(0, 1.5, (b, n, 16)).astype(dtype) for c in "qkv"}
+        arrays["q"][0, 0] = 0.0  # every score of this query row is equal
+        bias = None
+        if masked:
+            pad = rng.random((b, n)) < 0.3
+            pad[:, 0] = False
+            bias = np.where(pad, -1e9, 0.0).astype(dtype)[:, None, None, :]
+        upstream = rng.normal(size=(b, n, 16)).astype(dtype)
+        got, want = self._attention_pair(arrays, 4, bias, upstream)
+        for g, w in zip(got, want):
+            assert_bits(g, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_nonfinite_rows_propagate_as_before(self, dtype):
+        rng = np.random.default_rng(7)
+        b, n = 3, 10
+        arrays = {c: rng.normal(size=(b, n, 16)).astype(dtype) for c in "qkv"}
+        arrays["q"][1, 2, :4] = np.nan  # one query row of head 0 scores nan
+        bias = np.zeros((b, 1, 1, n), dtype=dtype)
+        bias[2] = -np.inf  # every key of sequence 2 masked: -inf - -inf rows
+        upstream = rng.normal(size=(b, n, 16)).astype(dtype)
+        with np.errstate(invalid="ignore"):
+            got, want = self._attention_pair(arrays, 4, bias, upstream)
+        assert np.isnan(got[0][1, 2]).any() and np.isnan(got[0][2]).all()
+        assert np.isfinite(got[0][0]).all()
+        for g, w in zip(got, want):
+            assert_bits(g, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(9, 8), (3, 4, 8)])
+    @pytest.mark.parametrize("rows", [[4, 1, 4, 2, 4, 1], [3] * 7, [[0, 5], [5, 0]], []])
+    def test_gather_rows_grad_equals_2d_add_at(self, dtype, shape, rows):
+        rng = np.random.default_rng(len(rows))
+        idx = np.asarray(rows, dtype=np.int64)
+        upstream = rng.normal(size=idx.shape + shape[-1:]).astype(dtype)
+        flat = upstream.reshape(-1, shape[-1])
+        flat[::2, 0] = -0.0
+        if len(flat) > 1:
+            flat[1] = -flat[0]  # duplicate rows whose contributions cancel to zero
+        xt = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        weighted_sum(gather_rows(xt, idx), upstream).backward()
+        want = np.zeros((xt.data.size // shape[-1], shape[-1]), dtype=dtype)
+        np.add.at(want, idx.reshape(-1), flat)
+        assert_bits(xt.grad, want.reshape(shape))
+        assert (np.signbit(xt.grad) == np.signbit(want.reshape(shape))).all()
+
+
 class TestInPlaceKernels:
     """The in-place gelu and layer_norm against the expressions they replace."""
 
