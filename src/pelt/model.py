@@ -13,9 +13,11 @@ no-grad pass of the encoder, whose last layer runs past attention on the
 masked rows only, and of the head. At the widths the tests check (D 16, 48,
 64) no result depends on the batching; at D >= 128 some rows do.
 Training (mlm_loss) and inference run the same encoder, built from the
-fused tape ops: six ``linear`` and one ``attention`` node per layer, and the
-tied head's loss is one ``tied_cross_entropy`` node. mlm_loss runs GELU on
-real tokens only, and in the last layer on masked ones only.
+fused tape ops: ten nodes per layer (six ``linear``, one ``attention``, one
+``gelu`` and two ``layer_norm`` that add the residuals; one more adds the
+position rows), and the tied head's loss is one ``tied_cross_entropy``
+node. mlm_loss runs GELU on real tokens only, and in the last layer on
+masked ones only.
 """
 
 import functools
@@ -27,8 +29,8 @@ import numpy as np
 from pelt.errors import (ConfigError, ContractError, DivergenceError,
                          LengthError, ShapeError)
 from pelt.optim import Adam
-from pelt.tensor import (ParamStore, Tensor, add, attention, gather_rows,
-                         gelu, layer_norm, linear, no_grad, tied_cross_entropy)
+from pelt.tensor import (ParamStore, Tensor, attention, gather_rows, gelu,
+                         layer_norm, linear, no_grad, tied_cross_entropy)
 from pelt.vocab import MASK_ID, PAD_ID
 
 _MASKED_SLICE = 64
@@ -110,7 +112,7 @@ def _encoder(params, cfg, x, attn_bias, rows=None, live=None):
     n = x.shape[1]
     last = cfg.layers - 1 if rows is not None and n > 1 else -1
     pos = gather_rows(params["emb.pos"], np.arange(n))
-    h = layer_norm(add(x, pos), params["emb.ln.g"], params["emb.ln.b"], cfg.ln_eps)
+    h = layer_norm(x, params["emb.ln.g"], params["emb.ln.b"], cfg.ln_eps, residual=pos)
     for i, names in enumerate(_layer_names(cfg.layers)):
         (wq, wk, wv, wo, bq, bk, bv, bo,
          g1, b1, w1, c1, w2, c2, g2, b2) = map(params.__getitem__, names)
@@ -118,9 +120,9 @@ def _encoder(params, cfg, x, attn_bias, rows=None, live=None):
                         cfg.heads, attn_bias)
         if i == last:
             ctx, h = gather_rows(ctx, rows), gather_rows(h, rows)
-        h = layer_norm(add(h, linear(ctx, wo, bo)), g1, b1, cfg.ln_eps)
+        h = layer_norm(linear(ctx, wo, bo), g1, b1, cfg.ln_eps, residual=h)
         f = linear(gelu(linear(h, w1, c1), live and live[i]), w2, c2)
-        h = layer_norm(add(h, f), g2, b2, cfg.ln_eps)
+        h = layer_norm(f, g2, b2, cfg.ln_eps, residual=h)
     if rows is not None and last < 0:
         h = gather_rows(h, rows)
     return h

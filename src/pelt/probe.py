@@ -119,13 +119,13 @@ def run_probe(queries, vocab, ckpt, table=None, pools=None):
 
     ``table=None`` runs the vanilla model; an empty table gives identical
     results. A table is verified against ``ckpt`` once, before any query is
-    predicted. ``pools`` (from ``candidate_pools``) ranks each query only
-    over its relation's pool; a relation without a pool, or ``pools=None``,
-    ranks over the whole vocabulary.
+    predicted, and the report reuses the fingerprint that check computed.
+    ``pools`` (from ``candidate_pools``) ranks each query only over its
+    relation's pool; a relation without a pool, or ``pools=None``, ranks
+    over the whole vocabulary.
     """
     kept, rejected = _parse_queries(queries, vocab)
-    if table is not None:
-        verify_table(table, ckpt)
+    fp = fingerprint(ckpt) if table is None else verify_table(table, ckpt)
     pools = pools or {}
     hits = []
     for q, sentence, pos in kept:
@@ -136,7 +136,7 @@ def run_probe(queries, vocab, ckpt, table=None, pools=None):
             ranked = predict_topk(ckpt, sentence.tokens, pos, 1, candidates)
         hits.append(int(ranked[0][0] == vocab.id(q.answer)))
     mode, norm_l = ("infused", table.norm_l) if table is not None else ("vanilla", 0.0)
-    return _report(mode, fingerprint(ckpt).hex(), norm_l, kept, rejected, hits)
+    return _report(mode, fp.hex(), norm_l, kept, rejected, hits)
 
 
 @dataclass

@@ -51,7 +51,8 @@ class EntityEmbeddingTable:
 
 
 def verify_table(table, ckpt):
-    """A table is only pluggable into the model that produced it."""
+    """A table is only pluggable into the model that produced it; returns
+    the checkpoint fingerprint it checked against."""
     fp = fingerprint(ckpt)
     if table.fingerprint != fp:
         raise FingerprintError(
@@ -59,6 +60,7 @@ def verify_table(table, ckpt):
             f"table={table.fingerprint.hex()} checkpoint={fp.hex()}")
     if table.dim != ckpt.config.dim:
         raise ConfigError(f"table D={table.dim} but checkpoint D={ckpt.config.dim}")
+    return fp
 
 
 def check_norm_l(norm_l):

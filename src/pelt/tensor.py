@@ -5,11 +5,12 @@ Each operation links its result to its inputs through a backward closure;
 one forward pass builds exactly one tape. float32 is the training dtype,
 float64 the test / gradient-check dtype; dtypes never mix inside a graph.
 Broadcasting is restricted to trailing-dimension (bias style) addition to
-keep the kernel auditable. The module holds only the ops the model runs.
-The fused ``linear``, ``attention`` and ``tied_cross_entropy`` make the
-numpy calls of the generic matmul/add/reshape/transpose/softmax composition
-they replace, on the same operand layouts, so their bits are the
-composition's; ``gelu`` (on every row, or on chosen rows only) and
+keep the kernel auditable. The module holds only the ops the model runs; it
+has no add op, as ``layer_norm`` adds its residual ("Add & Norm"). The
+fused ``linear``, ``attention``, ``tied_cross_entropy`` and ``layer_norm``
+make the numpy calls of the generic matmul/add/reshape/transpose/softmax
+composition they replace, on the same operand layouts, so their bits are
+the composition's; ``gelu`` (on every row, or on chosen rows only) and
 ``layer_norm`` work in place. ``ParamStore.pack`` gives the parameters one
 buffer, their gradients one more. The exact attention row max reduces a
 key-major copy: numpy's max over a short last axis costs ~50 ns a row.
@@ -197,27 +198,6 @@ def attention(q, k, v, heads, bias=None):
     return _result(data, (q, k, v), backward)
 
 
-def add(a, b):
-    """a + b for a Tensor b of a's shape or of its trailing dims (a bias)."""
-    ad, bd = a.data, b.data
-    if ad.dtype != bd.dtype:
-        _check_same_dtype(a, b)
-    if bd.shape != ad.shape and ad.shape[ad.ndim - bd.ndim:] != bd.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not line up")
-    data = ad + bd
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g, owned=False)
-        if b.requires_grad:
-            gb = g
-            while gb.ndim > b.ndim:
-                gb = gb.sum(axis=0)
-            _accum(b, gb, owned=gb is not g)
-
-    return _result(data, (a, b), backward)
-
-
 def gather_rows(table, indices):
     """Rows of a 2-D or larger table at flat indices over its leading axes;
     backward scatter-adds into the table."""
@@ -282,8 +262,10 @@ def _mean(a):
     return np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
 
 
-def layer_norm(x, gain, bias, epsilon):
-    """Zero-mean / unit-variance normalization over the last axis, then affine.
+def layer_norm(x, gain, bias, epsilon, residual=None):
+    """Add & Norm: zero-mean / unit-variance normalization of ``residual + x``
+    over the last axis, then affine; ``residual`` is None, of x's shape, or of
+    x's trailing dims (its gradient then sums over the leading axes).
 
     Variance is the population variance over the feature axis; with gain=1,
     bias=0 and epsilon=0 every output row has Euclidean norm sqrt(D).
@@ -297,6 +279,14 @@ def layer_norm(x, gain, bias, epsilon):
                          f"do not match feature size {d}")
     if gd.dtype != xd.dtype or bd.dtype != xd.dtype:
         _check_same_dtype(x, gain, bias)
+    parents = (x, gain, bias)
+    if residual is not None:
+        rd = residual.data
+        if rd.dtype != xd.dtype:
+            _check_same_dtype(x, residual)
+        if rd.shape != xd.shape[xd.ndim - rd.ndim:]:
+            raise ShapeError(f"layer_norm: residual {residual.shape} does not fit input {x.shape}")
+        xd, parents = rd + xd, parents + (residual,)
     xhat = xd - _mean(xd)
     buf = xhat * xhat
     inv = 1.0 / np.sqrt(_mean(buf) + epsilon)
@@ -310,7 +300,7 @@ def layer_norm(x, gain, bias, epsilon):
             _accum(gain, buf.reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
+        if x.requires_grad or residual is not None:
             dxhat = g * gd
             m1 = _mean(dxhat)
             np.multiply(dxhat, xhat, out=buf)
@@ -318,9 +308,14 @@ def layer_norm(x, gain, bias, epsilon):
             dxhat -= m1
             dxhat -= buf
             dxhat *= inv
+            if residual is not None:
+                gr = dxhat
+                while gr.ndim > residual.ndim:
+                    gr = gr.sum(axis=0)
+                _accum(residual, gr, owned=gr is not dxhat)
             _accum(x, dxhat)
 
-    return _result(data, (x, gain, bias), backward)
+    return _result(data, parents, backward)
 
 
 def tied_cross_entropy(r, emb, targets):

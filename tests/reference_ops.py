@@ -1,10 +1,11 @@
 """The generic tape ops the fused model ops replaced, kept as a reference.
 
-``pelt.tensor.linear``, ``attention``, ``tied_cross_entropy`` and the
-flat-row ``gather_rows`` must equal, bit for bit, the compositions below of
-matmul (2-D or batched), add, reshape, transpose, scalar and elementwise
-mul, softmax, softmax cross entropy and the 2-D row gather, the ops the
-model was built from before; the tests compare the two forward and backward.
+``pelt.tensor.linear``, ``attention``, ``tied_cross_entropy``, the
+flat-row ``gather_rows`` and ``layer_norm`` with a residual must equal, bit
+for bit, the compositions below of matmul (2-D or batched), add, reshape,
+transpose, scalar and elementwise mul, softmax, softmax cross entropy, the
+2-D row gather and the residual-free layer_norm, the ops the model was built
+from before; the tests compare the two forward and backward.
 The numpy expressions of the in-place kernels and of per-parameter Adam that
 the library used before are kept here for the same purpose.
 ``hidden_states`` is the full pre-head encoder pass, no row pruned, that
@@ -13,8 +14,9 @@ tests of the encoder's input side read.
 
 import numpy as np
 
+from pelt import tensor
 from pelt.model import _encoder
-from pelt.tensor import Tensor, _accum, _check_same_dtype, _result, add, no_grad
+from pelt.tensor import Tensor, _accum, _check_same_dtype, _result, no_grad
 
 
 def matmul(a, b):
@@ -35,6 +37,24 @@ def matmul(a, b):
                 _accum(b, ga.T @ g.reshape(-1, g.shape[-1]))
             else:
                 _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    return _result(data, (a, b), backward)
+
+
+def add(a, b):
+    """a + b for a Tensor b of a's shape or of its trailing dims (a bias)."""
+    _check_same_dtype(a, b)
+    assert b.shape == a.shape or a.shape[a.ndim - b.ndim:] == b.shape
+    data = a.data + b.data
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g, owned=False)
+        if b.requires_grad:
+            gb = g
+            while gb.ndim > b.ndim:
+                gb = gb.sum(axis=0)
+            _accum(b, gb, owned=gb is not g)
 
     return _result(data, (a, b), backward)
 
@@ -148,6 +168,15 @@ def attention(q, k, v, heads, bias=None):
         scores = add_constant(scores, bias)
     weights = softmax(scores, axis=-1)
     return reshape(transpose(matmul(weights, vh), (0, 2, 1, 3)), (bsz, n, d))
+
+
+def layer_norm(x, gain, bias, epsilon, residual=None):
+    """The generic add, then the residual-free layer_norm, in the operand
+    order the encoder used: add(h, sublayer) for a residual of x's shape,
+    add(x, pos) for position rows over a batch."""
+    if residual is not None:
+        x = add(residual, x) if residual.shape == x.shape else add(x, residual)
+    return tensor.layer_norm(x, gain, bias, epsilon)
 
 
 def layer_norm_arrays(x, gain, bias, epsilon, g):

@@ -4,15 +4,17 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The flagship pipeline
 (criteria 6-8) trains one model per seed and is shared session-wide.
 """
 
+import multiprocessing
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pelt.checkpoint import (fingerprint, load_checkpoint, save_checkpoint,
-                             serialize_checkpoint)
+from pelt.checkpoint import (deserialize_checkpoint, fingerprint, load_checkpoint,
+                             save_checkpoint, serialize_checkpoint)
 from pelt.corpus import (BUCKET_LABELS, CorpusConfig, generate_corpus,
                          parse_corpus)
 from pelt.errors import FingerprintError
@@ -43,20 +45,37 @@ def report(criterion, ok, detail):
     assert ok, detail
 
 
+def _train_flagship(seed):
+    """Worker: train one seed's flagship model; its checkpoint bytes and seconds."""
+    bundle = generate_corpus(CorpusConfig(seed=seed))
+    train = parse_corpus(bundle.train_lines, bundle.vocab)
+    config = ModelConfig(dim=64, layers=2, heads=4, max_len=64,
+                         vocab_size=len(bundle.vocab), seed=seed)
+    t0 = time.time()
+    ckpt = train_mlm(train, config, steps=TRAIN_STEPS, lr=TRAIN_LR,
+                     seed=seed, log_every=0)
+    return serialize_checkpoint(ckpt), time.time() - t0
+
+
 @pytest.fixture(scope="session")
 def flagship():
-    """Seeded end-to-end pipeline per seed: corpus, model, sweep, probes."""
+    """Seeded end-to-end pipeline per seed: corpus, model, sweep, probes.
+
+    The seeds train side by side, one spawned worker each at one BLAS thread
+    (set before the worker loads numpy); a checkpoint's bytes do not depend
+    on the thread count, and the sweep and probes run here on the bytes.
+    """
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(len(SEEDS),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            trained = dict(zip(SEEDS, pool.map(_train_flagship, SEEDS)))
     runs = {}
     for seed in SEEDS:
         bundle = generate_corpus(CorpusConfig(seed=seed))
-        train = parse_corpus(bundle.train_lines, bundle.vocab)
         lookup = parse_corpus(bundle.lookup_lines, bundle.vocab)
-        config = ModelConfig(dim=64, layers=2, heads=4, max_len=64,
-                             vocab_size=len(bundle.vocab), seed=seed)
-        t0 = time.time()
-        ckpt = train_mlm(train, config, steps=TRAIN_STEPS, lr=TRAIN_LR,
-                         seed=seed, log_every=0)
-        train_seconds = time.time() - t0
+        data, train_seconds = trained[seed]
+        ckpt = deserialize_checkpoint(data)
         sweep = sweep_norm(bundle.queries, bundle.vocab, ckpt, lookup,
                            bundle.catalog.ids(), range(1, 11))
         table = table_from_directions(sweep.directions, sweep.selected_l)

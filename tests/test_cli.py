@@ -3,10 +3,19 @@
 import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import pytest
 
+from pelt.checkpoint import load_checkpoint
 from pelt.cli import main, parse_args
+from pelt.corpus import (DATA_FILES, EntityCatalog, index_occurrences, parse_corpus,
+                         read_corpus_file)
+from pelt.table import load_table
+from pelt.vocab import Vocabulary
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Per subcommand: its required options, then a non-default value for every
 # other option. A new option must be added here, or the round-trip test fails.
@@ -114,6 +123,65 @@ class TestBuildTableAndProbe:
         rc = main(["probe", "--ckpt", other_ckpt, "--data", data,
                    "--table", table])
         assert rc == 1
+
+    def test_train_source_skips_the_zero_train_entities(self, tmp_path, capsys):
+        # the default seed-42 corpus and a short checkpoint: every entity
+        # seen in training is stored with its indexed count, the rest skipped
+        data, ckpt, table = (str(tmp_path / name) for name in ("data", "m.bin", "t.bin"))
+        assert main(["gen-corpus", "--seed", "42", "--out", data]) == 0
+        assert main(["train", "--data", data, "--out", ckpt, "--steps", "20", "--dim", "16",
+                     "--layers", "1", "--heads", "2", "--seed", "42", "--log-every", "0"]) == 0
+        capsys.readouterr()
+        assert main(["build-table", "--ckpt", ckpt, "--data", data, "--out", table,
+                     "--source", "train"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        skipped = [line.split()[1].rstrip(":") for line in lines if line.startswith("skipped ")]
+        catalog = EntityCatalog.load(os.path.join(data, DATA_FILES["catalog"]))
+        zero_train = [e.entity_id for e in catalog.entries if e.train_freq == 0]
+        assert skipped == zero_train == [f"ent_{i:03d}" for i in range(45, 50)]
+        vocab = Vocabulary.load(os.path.join(data, DATA_FILES["vocab"]))
+        sentences = parse_corpus(read_corpus_file(os.path.join(data, DATA_FILES["train"])), vocab)
+        indexed = index_occurrences(catalog.ids(), sentences, cap=256)
+        stored = load_table(table, load_checkpoint(ckpt)).entries
+        assert {eid: e.count for eid, e in stored.items()} == \
+            {eid: len(occ) for eid, occ in indexed.items() if occ}
+        assert main(["probe", "--ckpt", ckpt, "--data", data, "--table", table]) == 0
+        assert "mode infused" in capsys.readouterr().out
+
+
+# Every artifact-writing stage of the seed-42 pipeline, run by one fresh
+# interpreter whose environment fixes the BLAS thread count before numpy loads.
+_PIPELINE = """
+import sys
+from pelt.cli import main
+out = sys.argv[1]
+data, model, table = out + "/data", out + "/model.bin", out + "/table.bin"
+probe = ["probe", "--ckpt", model, "--data", data]
+for argv in (["gen-corpus", "--seed", "42", "--out", data],
+             ["train", "--data", data, "--out", model, "--seed", "42", "--steps", "300",
+              "--log-every", "0"],
+             ["build-table", "--ckpt", model, "--data", data, "--out", table],
+             probe + ["--tsv", out + "/vanilla.tsv"],
+             probe + ["--table", table, "--tsv", out + "/infused.tsv"],
+             ["sweep", "--ckpt", model, "--data", data, "--l", "1..10",
+              "--tsv", out + "/sweep.tsv"]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    artifacts = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.path.join(ROOT, "src"))
+        run = subprocess.run([sys.executable, "-c", _PIPELINE, str(out)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        artifacts[threads] = {name: (out / name).read_bytes() for name in
+                              ("model.bin", "table.bin", "vanilla.tsv", "infused.tsv",
+                               "sweep.tsv")}
+    assert artifacts["1"] == artifacts["2"]
 
 
 class TestSweep:

@@ -43,7 +43,7 @@ def _bench_reference():
 def _use_reference_ops(monkeypatch):
     """Run pelt.model on the generic ops that its fused ops replace."""
     import pelt.model
-    for name in ("linear", "attention", "tied_cross_entropy", "gather_rows"):
+    for name in ("linear", "attention", "tied_cross_entropy", "gather_rows", "layer_norm"):
         monkeypatch.setattr(pelt.model, name, getattr(reference_ops, name))
 
 
@@ -450,15 +450,16 @@ class TestMlmLoss:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_tape_holds_the_fused_ops(self, monkeypatch):
-        # 33 op nodes for a 2-layer model: 12 per layer (6 linear, attention,
-        # 2 add, 2 layer_norm, gelu), 4 before the layers (2 gathers, add,
-        # layer_norm) and 5 after (gather, the head's linear, gelu and
-        # layer_norm, tied_cross_entropy); the generic composition builds 75
+        # 28 op nodes for a 2-layer model: 10 per layer (6 linear, attention,
+        # 2 layer_norm that add the residual, gelu), 3 before the layers
+        # (2 gathers, the layer_norm that adds the positions) and 5 after
+        # (gather, the head's linear, gelu and layer_norm,
+        # tied_cross_entropy); the generic composition builds 75
         config = ModelConfig(dim=16, layers=2, heads=2, max_len=16, vocab_size=40, seed=1)
         params = init_params(config, np.float32)
         tokens, targets = synthetic_mlm_batch(40, batch=3, length=8, seed=1)
         tokens[0, 5:], targets[0, 5:] = PAD_ID, -1
-        assert reference_ops.tape_ops(mlm_loss(params, config, tokens, targets)) == 33
+        assert reference_ops.tape_ops(mlm_loss(params, config, tokens, targets)) == 28
         _use_reference_ops(monkeypatch)
         assert reference_ops.tape_ops(mlm_loss(params, config, tokens, targets)) == 75
 

@@ -166,6 +166,8 @@ class TestRunProbe:
             run_probe(bundle.queries, bundle.vocab, other, table=table)
 
     def test_fingerprint_count_independent_of_query_count(self, world, monkeypatch):
+        # the table check's fingerprint is the report's: one hash per run,
+        # whatever the query count, with a table or without
         bundle, ckpt, lookup = world
         table, _ = build_table(bundle.catalog.ids(), lookup, ckpt, 4.0)
         calls = []
@@ -179,10 +181,12 @@ class TestRunProbe:
                 monkeypatch.setattr(module, "fingerprint", counted)
         counts = []
         for queries in (bundle.queries[:1], bundle.queries):
-            calls.clear()
-            run_probe(queries, bundle.vocab, ckpt, table=table)
-            counts.append(len(calls))
-        assert len(bundle.queries) > 1 and counts[0] == counts[1] > 0
+            for t in (table, None):
+                calls.clear()
+                report = run_probe(queries, bundle.vocab, ckpt, table=t)
+                counts.append(len(calls))
+                assert report.model_fingerprint == fingerprint(ckpt).hex()
+        assert len(bundle.queries) > 1 and counts == [1, 1, 1, 1]
 
     def test_render_formats(self, world):
         bundle, ckpt, _ = world

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from pelt.errors import ContractError, ShapeError
 from pelt.gradcheck import grad_check
 from pelt.optim import Adam
-from pelt.tensor import (ParamStore, Tensor, _accum, _result, add,
-                         attention, gather_rows, gelu, layer_norm, linear,
-                         no_grad, tied_cross_entropy)
+from pelt.tensor import (ParamStore, Tensor, _accum, _result, attention,
+                         gather_rows, gelu, layer_norm, linear, no_grad,
+                         tied_cross_entropy)
 
 import reference_ops as ref
-from reference_ops import matmul, mul, reshape, softmax, transpose, weighted_sum
+from reference_ops import add, matmul, mul, reshape, softmax, transpose, weighted_sum
 
 
 def tsum(a):
@@ -118,6 +118,10 @@ class TestLayerNorm:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError, match="feature size"):
             layer_norm(t64(np.zeros((2, 4))), t64(np.ones(3)), t64(np.zeros(3)), 0.0)
+        for shape in [(3, 4), (2, 3), (1, 2, 4)]:
+            with pytest.raises(ShapeError, match="residual"):
+                layer_norm(t64(np.zeros((2, 4))), t64(np.ones(4)), t64(np.zeros(4)), 0.0,
+                           residual=t64(np.zeros(shape)))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -132,6 +136,22 @@ class TestLayerNorm:
         err = grad_check(lambda: tsum(mul(layer_norm(x, g, b, 1e-5),
                                           layer_norm(x, g, b, 1e-5))),
                          store, h=1e-5, samples=40)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("residual_shape", [(2, 3, 8), (3, 8)])
+    def test_residual_grad_matches_finite_differences(self, residual_shape):
+        # a residual of the input's shape (a sublayer's) or of its trailing
+        # dims (position rows shared across the batch)
+        rng = np.random.default_rng(len(residual_shape))
+        store = ParamStore()
+        x = store.add("x", rng.normal(size=(2, 3, 8)))
+        r = store.add("r", rng.normal(size=residual_shape))
+        g = store.add("g", rng.normal(1.0, 0.1, size=8))
+        b = store.add("b", rng.normal(size=8))
+        w = rng.normal(size=(2, 3, 8))
+        err = grad_check(lambda: weighted_sum(mul(layer_norm(x, g, b, 1e-5, residual=r),
+                                                  layer_norm(x, g, b, 1e-5, residual=r)), w),
+                         store, h=1e-5, samples=60)
         assert err < 1e-4
 
 
@@ -263,10 +283,9 @@ class TestElementwiseOps:
             gather_rows(t64(np.zeros(4)), [0])
 
     def test_mixed_dtype_rejected(self):
-        a = Tensor(np.zeros(3, dtype=np.float32))
-        b = Tensor(np.zeros(3, dtype=np.float64))
+        a, g, b = (Tensor(np.full(3, v, dtype=np.float32)) for v in (0.0, 1.0, 0.0))
         with pytest.raises(ShapeError, match="mixed dtypes"):
-            add(a, b)
+            layer_norm(a, g, b, 0.0, residual=Tensor(np.zeros(3, dtype=np.float64)))
 
     def test_no_grad_suppresses_tape(self):
         x = t64([1.0, 2.0], grad=True)
@@ -393,27 +412,50 @@ class TestFusedOps:
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("padded", [False, True])
     def test_attention_block_equals_composition(self, dtype, d, n, heads, padded):
-        # q, k, v and output projections of one input, plus the residual, so
-        # the input collects four gradients in the encoder's order
+        # q, k, v and output projections of one input, then the Add & Norm of
+        # that input as the residual, so it collects four gradients in the
+        # encoder's order
         rng = np.random.default_rng(d * 100 + n * 10 + heads)
         b = 3
         arrays = {"x": rng.normal(size=(b, n, d))}
         for c in "qkvo":
             arrays["w" + c] = rng.normal(0, 0.3, (d, d))
             arrays["b" + c] = rng.normal(0, 0.1, d)
+        arrays["ln.g"], arrays["ln.b"] = rng.normal(1.0, 0.1, d), rng.normal(0, 0.1, d)
         bias = _padding_bias(b, n, dtype) if padded else None
         upstream = rng.normal(size=(b, n, d)).astype(dtype)
 
-        def run(lin, att):
+        def run(lin, att, ln):
             store = ParamStore()
             t = {name: store.add(name, a.astype(dtype)) for name, a in arrays.items()}
             q, k, v = (lin(t["x"], t["w" + c], t["b" + c]) for c in "qkv")
             ctx = att(q, k, v, heads, bias)
-            out = add(t["x"], lin(ctx, t["wo"], t["bo"]))
+            out = ln(lin(ctx, t["wo"], t["bo"]), t["ln.g"], t["ln.b"], 1e-5, residual=t["x"])
             weighted_sum(out, upstream).backward()
             return [ctx.data, out.data] + [p.grad for _, p in store.items()]
 
-        for got, want in zip(run(linear, attention), run(ref.linear, ref.attention)):
+        for got, want in zip(run(linear, attention, layer_norm),
+                             run(ref.linear, ref.attention, ref.layer_norm)):
+            assert_bits(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("residual_shape", [(3, 5, 16), (5, 16)])
+    def test_layer_norm_residual_equals_add_then_layer_norm(self, dtype, residual_shape):
+        # a sublayer's residual of the input's shape, and position rows
+        # shared across the batch: output and both input gradients
+        rng = np.random.default_rng(len(residual_shape))
+        arrays = {"x": rng.normal(size=(3, 5, 16)), "r": rng.normal(size=residual_shape),
+                  "g": rng.normal(1.0, 0.1, 16), "b": rng.normal(0, 0.1, 16)}
+        upstream = rng.normal(size=(3, 5, 16)).astype(dtype)
+
+        def run(ln):
+            store = ParamStore()
+            t = {name: store.add(name, a.astype(dtype)) for name, a in arrays.items()}
+            out = ln(t["x"], t["g"], t["b"], 1e-5, residual=t["r"])
+            weighted_sum(out, upstream).backward()
+            return [out.data] + [p.grad for _, p in store.items()]
+
+        for got, want in zip(run(layer_norm), run(ref.layer_norm)):
             assert_bits(got, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
