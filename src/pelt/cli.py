@@ -139,8 +139,8 @@ def _cmd_build_table(args):
     sentences = corpus_mod.parse_corpus(data[args.source], data["vocab"])
     entity_ids = (args.entities.split(",") if args.entities
                   else data["catalog"].ids())
-    _provenance(ckpt.train_seed, ckpt=ckpt_io.fingerprint(ckpt).hex()[:16])
     table, skipped = table_mod.build_table(entity_ids, sentences, ckpt, args.l, cap=args.cap)
+    _provenance(ckpt.train_seed, ckpt=table.fingerprint.hex()[:16])
     table_mod.save_table(table, args.out)
     for eid in skipped:
         print(f"skipped {eid}: no occurrences in {args.source} corpus")
@@ -154,11 +154,10 @@ def _cmd_probe(args):
     table = table_mod.load_table(args.table, ckpt) if args.table else None
     pools = (probe_mod.candidate_pools(data["catalog"], data["vocab"])
              if args.restrict else None)
-    _provenance(ckpt.train_seed,
-                ckpt=ckpt_io.fingerprint(ckpt).hex()[:16],
-                table=(table.fingerprint.hex()[:16] if table else "none"))
     report = probe_mod.run_probe(data["cloze"], data["vocab"], ckpt, table=table,
                                  pools=pools)
+    _provenance(ckpt.train_seed, ckpt=report.model_fingerprint[:16],
+                table=(table.fingerprint.hex()[:16] if table else "none"))
     print(report.render_text())
     _write_tsv(args.tsv, report.render_tsv())
     if args.strict and report.rejected:
@@ -190,10 +189,10 @@ def _cmd_sweep(args):
     l_values = _parse_l_values(args.l)
     pools = (probe_mod.candidate_pools(data["catalog"], data["vocab"])
              if args.restrict else None)
-    _provenance(ckpt.train_seed, ckpt=ckpt_io.fingerprint(ckpt).hex()[:16])
     result = probe_mod.sweep_norm(
         data["cloze"], data["vocab"], ckpt, sentences, data["catalog"].ids(),
         l_values, cap=args.cap, pools=pools)
+    _provenance(ckpt.train_seed, ckpt=result.directions.fingerprint.hex()[:16])
     print(result.render_text())
     _write_tsv(args.tsv, result.render_tsv())
     return 0

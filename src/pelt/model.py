@@ -10,8 +10,8 @@ over masked occurrences; predict_topk() ranks the vocabulary against one of
 them, with or without infused vectors. Each distinct all-token input is
 encoded once: each chunk of at most 64 inputs of one length is one unpadded
 no-grad pass of the encoder, whose last layer runs past attention on the
-masked rows only, and of the head. At the widths the tests check (D 16, 48,
-64) no result depends on the batching; at D >= 128 some rows do.
+masked rows only, each as its own product, and of the head; no output
+depends on the batch, at any width.
 Training (mlm_loss) and inference run the same encoder, built from the
 fused tape ops: ten nodes per layer (six ``linear``, one ``attention``, one
 ``gelu`` and two ``layer_norm`` that add the residuals; one more adds the
@@ -106,11 +106,12 @@ def _layer_names(layers):
 
 def _encoder(params, cfg, x, attn_bias, rows=None, live=None):
     """H = Enc(LayerNorm(x + P)); x is (B, n, D) input features. With
-    ``rows`` (flat indices into the B*n positions) only those rows return,
-    and for n > 1 the last layer runs them alone past attention. Layer i runs
-    its GELU on the flat rows ``live[i]`` only: no other row may reach a loss."""
+    ``rows`` (an array of flat indices into the B*n positions) only those
+    rows return, shaped rows.shape + (D,), and the last layer runs them alone
+    past attention (an (m, 1) array makes each row its own product). Layer i
+    runs its GELU on the flat rows ``live[i]`` only: no other row may reach a loss."""
     n = x.shape[1]
-    last = cfg.layers - 1 if rows is not None and n > 1 else -1
+    last = cfg.layers - 1 if rows is not None else -1
     pos = gather_rows(params["emb.pos"], np.arange(n))
     h = layer_norm(x, params["emb.ln.g"], params["emb.ln.b"], cfg.ln_eps, residual=pos)
     for i, names in enumerate(_layer_names(cfg.layers)):
@@ -143,11 +144,10 @@ def masked_outputs(ckpt, seqs, positions):
     float slot never equals a token: neither is merged). The distinct inputs
     are grouped by length, and each group runs in chunks of at most
     _MASKED_SLICE: one unpadded no-grad pass of the encoder, its last layer
-    past attention on the masked rows only, and of the head. A chunk of one
-    sequence runs its row twice, since numpy's one-row product rounds
-    differently from a stack. So at D 16, 48 and 64 (tested; not at D >= 128)
-    the (m, D) result, in input order, equals encoding one sequence at a time,
-    whatever the chunk size.
+    past attention on the masked rows only, and of the head. Each masked row
+    is its own product past the last layer's attention; no output depends on
+    the batch, at any width. So the (m, D) result, in input order, equals
+    encoding one sequence at a time, whatever the chunk size.
     """
     cfg, emb = ckpt.config, ckpt.params["emb.word"].data
     first, src = {}, list(range(len(seqs)))  # src[i]: the index whose row i copies
@@ -191,10 +191,10 @@ def masked_outputs(ckpt, seqs, positions):
         for k, j, vec in vectors:
             x[k, j] = vec
         n = tokens.shape[1]
-        rows = [k * n + positions[i] for k, i in enumerate(part)] * (2 if len(part) == 1 else 1)
+        rows = [[k * n + positions[i]] for k, i in enumerate(part)]  # (m, 1): one row each
         with no_grad():
             r = _head(ckpt.params, cfg, _encoder(ckpt.params, cfg, Tensor(x), None, rows))
-        out[part] = r.data[:len(part)]
+        out[part] = r.data[:, 0]
     return out[src]
 
 

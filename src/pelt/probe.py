@@ -166,8 +166,8 @@ def sweep_norm(queries, vocab, ckpt, lookup_sentences, entity_ids, l_values,
     Every kept query is augmented against each distinct L's table (stamped
     with the fingerprint of the directions, collected from ``ckpt``), and one
     ``masked_outputs`` call encodes them all, so each curve value equals
-    ``run_probe(..., table, pools).macro_p1`` at the batch-invariant widths
-    (D 16/48/64). The first best of the ascending curve is the selected L.
+    ``run_probe(..., table, pools).macro_p1``. The first best of the
+    ascending curve is the selected L.
     """
     values = [float(l) for l in l_values]
     for l in values:

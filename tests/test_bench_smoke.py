@@ -18,7 +18,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["train", "probe"])
+@pytest.mark.parametrize("workload", ["train", "build-table", "probe"])
 def test_traced_pass_exits_0_and_is_correct(workload, tmp_path):
     shutil.copytree(os.path.join(ROOT, "bench"), tmp_path / "bench",
                     ignore=shutil.ignore_patterns("results", "work", "__pycache__"))

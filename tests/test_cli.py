@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from pelt.checkpoint import load_checkpoint
+import pelt
+from pelt.checkpoint import fingerprint, load_checkpoint
 from pelt.cli import main, parse_args
 from pelt.corpus import (DATA_FILES, EntityCatalog, index_occurrences, parse_corpus,
                          read_corpus_file)
@@ -123,6 +124,35 @@ class TestBuildTableAndProbe:
         rc = main(["probe", "--ckpt", other_ckpt, "--data", data,
                    "--table", table])
         assert rc == 1
+
+    def test_one_checkpoint_hash_per_command(self, pipeline, tmp_path, capsys, monkeypatch):
+        # the header prints the fingerprint its command's library call computed;
+        # an infused probe also hashes in load_table's check
+        _, data, ckpt = pipeline
+        model = load_checkpoint(ckpt)
+        want = f"# pelt {pelt.__version__} seed={model.train_seed} " \
+               f"ckpt={fingerprint(model).hex()[:16]}"
+        calls = []
+
+        def counted(c):
+            calls.append(1)
+            return fingerprint(c)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pelt") and vars(module).get("fingerprint") is fingerprint:
+                monkeypatch.setattr(module, "fingerprint", counted)
+        table = str(tmp_path / "t.bin")
+        common = ["--ckpt", ckpt, "--data", data]
+        counts, headers = [], []
+        for argv in (["build-table", "--out", table], ["probe"], ["probe", "--table", table],
+                     ["sweep", "--l", "1,2"]):
+            calls.clear()
+            assert main(argv[:1] + common + argv[1:]) == 0
+            counts.append(len(calls))
+            headers.append(capsys.readouterr().out.splitlines()[0])
+        assert counts == [1, 1, 2, 1]
+        table_fp = load_table(table, model).fingerprint.hex()[:16]
+        assert headers == [want, want + " table=none", f"{want} table={table_fp}", want]
 
     def test_train_source_skips_the_zero_train_entities(self, tmp_path, capsys):
         # the default seed-42 corpus and a short checkpoint: every entity
@@ -427,9 +457,9 @@ class TestUsageAndConfig:
         flag = {"build-table": "--out", "sweep": "--tsv"}[command]
         rc = main([command, "--ckpt", ckpt, "--data", data, flag, str(out), "--l", value])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err == f"error: norm constant L={value} is not finite and positive\n"
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err == f"error: norm constant L={value} is not finite and positive\n"
+        assert captured.out == "" and not out.exists()  # no provenance header
 
     @pytest.mark.parametrize("name,field,value", [
         ("cloze.tsv", 4, "often"), ("cloze.tsv", 4, "-3"),

@@ -88,13 +88,19 @@ def _every_position(seqs):
     return [s for s, _ in pairs], [p for _, p in pairs]
 
 
-def _unpruned(monkeypatch):
-    """Make masked_outputs run every encoder layer on every row, then pick
-    the masked rows, instead of running the last layer on those rows only."""
+def _unpruned(monkeypatch, own_rows):
+    """Make masked_outputs run the last encoder layer on every position, then
+    pick the masked rows, instead of running it on those rows only. With
+    ``own_rows`` the last layer runs each position as its own row, as the
+    pruned pass does; without, it is the (B, n, D) pass mlm_loss makes."""
     import pelt.model
     encoder = pelt.model._encoder
-    monkeypatch.setattr(pelt.model, "_encoder", lambda params, cfg, x, bias, rows:
-                        tensor.gather_rows(encoder(params, cfg, x, bias), rows))
+
+    def full(params, cfg, x, bias, rows):
+        every = np.arange(x.shape[0] * x.shape[1])[:, None] if own_rows else None
+        return tensor.gather_rows(encoder(params, cfg, x, bias, every), rows)
+
+    monkeypatch.setattr(pelt.model, "_encoder", full)
 
 
 def _encoded_batches(monkeypatch):
@@ -163,8 +169,10 @@ class TestEncoder:
     def test_pruned_last_layer_gives_the_rows_of_a_full_pass(self, monkeypatch, dim, heads,
                                                              layers, dtype):
         # the last layer past attention runs on the picked rows only; each row
-        # keeps its bits, in a group of one, for a one-token sequence, with
-        # vector slots and in groups of 2 to 64 sequences of one length
+        # keeps the bits of a full pass whose last layer runs every position as
+        # its own row, in a group of one, for a one-token sequence, with vector
+        # slots and in groups of 2 to 64 sequences of one length. The (B, n, D)
+        # pass of training rounds its GEMMs by the row count: float64 only.
         ckpt = synthetic_checkpoint(dim=dim, layers=layers, heads=heads, vocab_size=40,
                                     max_len=16, seed=dim + layers, dtype=dtype)
         rng = np.random.default_rng(dim + layers)
@@ -177,9 +185,15 @@ class TestEncoder:
         pruned = [masked_outputs(ckpt, seqs, positions) for seqs, positions in batches]
         assert all(r.shape == (len(s), dim) and r.dtype == dtype
                    for r, (s, _) in zip(pruned, batches))
-        _unpruned(monkeypatch)
+        _unpruned(monkeypatch, own_rows=True)
         for rows, (seqs, positions) in zip(pruned, batches):
             npt.assert_array_equal(rows, masked_outputs(ckpt, seqs, positions))
+        if dtype == np.float64:
+            monkeypatch.undo()
+            _unpruned(monkeypatch, own_rows=False)
+            for rows, (seqs, positions) in zip(pruned, batches):
+                npt.assert_allclose(rows, masked_outputs(ckpt, seqs, positions),
+                                    rtol=0, atol=1e-12)
 
     def test_position_outside_its_sequence_rejected(self, tiny):
         for positions in ([0, 3], [-1, 0]):
@@ -215,9 +229,9 @@ class TestHead:
         assert np.abs(r[0] - r[1]).max() > 1e-6
 
     def test_chunk_size_not_visible_at_each_width(self, monkeypatch):
-        # a row has the same float32 bits in a chunk of 1, 2 or 32
+        # a row has the same float32 bits in a chunk of 1, 2, 3, 32 or 64
         import pelt.model
-        for dim, heads in ((16, 2), (48, 4), (64, 4)):
+        for dim, heads in ((16, 2), (48, 4), (64, 4), (128, 4), (128, 8), (256, 8)):
             ckpt = synthetic_checkpoint(dim=dim, layers=1, heads=heads, vocab_size=40,
                                         max_len=16, seed=6, dtype=np.float32)
             rng = np.random.default_rng(6)
@@ -225,27 +239,33 @@ class TestHead:
             positions = [int(p) for p in rng.integers(16, size=64)]
             stacked = masked_outputs(ckpt, seqs, positions)
             assert stacked.shape == (64, dim) and stacked.dtype == np.float32
-            for m in (1, 2, 32):
+            for m in (1, 2, 3, 32):
                 monkeypatch.setattr(pelt.model, "_MASKED_SLICE", m)
                 npt.assert_array_equal(masked_outputs(ckpt, seqs, positions), stacked)
             monkeypatch.undo()
 
 
-@pytest.fixture(scope="module")
-def masked_batch(tiny):
-    """70 slot sequences of 1-16 slots, one [MASK] each, some holding vectors."""
-    rng = np.random.default_rng(7)
+def _masked_batch(config, seed, lengths=(1, 16)):
+    """70 slot sequences of ``lengths`` (inclusive) slots, one [MASK] each,
+    some holding vectors."""
+    rng = np.random.default_rng(seed)
     seqs, positions = [], []
     for _ in range(70):
-        seq = [int(t) for t in rng.integers(5, tiny.config.vocab_size, rng.integers(1, 17))]
+        n = rng.integers(lengths[0], lengths[1] + 1)
+        seq = [int(t) for t in rng.integers(5, config.vocab_size, n)]
         pos = int(rng.integers(len(seq)))
         seq[pos] = MASK_ID
         for j in rng.choice(len(seq), size=len(seq) // 4, replace=False):
             if j != pos:
-                seq[j] = rng.normal(size=tiny.config.dim).astype(np.float32)
+                seq[j] = rng.normal(size=config.dim).astype(np.float32)
         seqs.append(seq)
         positions.append(pos)
     return seqs, positions
+
+
+@pytest.fixture(scope="module")
+def masked_batch(tiny):
+    return _masked_batch(tiny.config, 7)
 
 
 def _one_at_a_time(ckpt, seqs, positions):
@@ -261,6 +281,18 @@ class TestMaskedOutputs:
         out = masked_outputs(tiny, seqs, positions)
         assert len({len(s) for s in seqs}) > 1 and out.dtype == np.float32
         npt.assert_array_equal(out, _one_at_a_time(tiny, seqs, positions))
+
+    def test_batch_equals_one_at_a_time_at_d128(self):
+        # past D=64 a GEMM's rounding depends on its row count (at D=128, from
+        # 16 rows on): length groups of about 23 sequences, vector slots too
+        ckpt = synthetic_checkpoint(dim=128, layers=2, heads=4, vocab_size=40,
+                                    max_len=16, seed=8, dtype=np.float32)
+        rng = np.random.default_rng(8)
+        for _, p in ckpt.params.items():
+            p.data += rng.normal(0.0, 0.05, p.shape).astype(np.float32)
+        seqs, positions = _masked_batch(ckpt.config, 8, lengths=(6, 8))
+        npt.assert_array_equal(masked_outputs(ckpt, seqs, positions),
+                               _one_at_a_time(ckpt, seqs, positions))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunk_of_one_and_one_token_sequences(self, monkeypatch, dtype):

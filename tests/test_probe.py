@@ -75,6 +75,26 @@ def moving(world, trained, top1_queries):
             candidate_pools(bundle.catalog, bundle.vocab))
 
 
+@pytest.fixture(scope="module")
+def wide(world):
+    """``moving``'s tuple for an untrained D=128 model, its initial parameters
+    perturbed by N(0, 0.3^2), with each answer its vanilla pool top-1."""
+    bundle, _, lookup = world
+    ckpt = synthetic_checkpoint(dim=128, layers=2, heads=4, vocab_size=len(bundle.vocab),
+                                max_len=40, seed=41, dtype=np.float32)
+    rng = np.random.default_rng(41)
+    for _, p in ckpt.params.items():
+        p.data += rng.normal(0.0, 0.3, p.shape).astype(np.float32)
+    pools = candidate_pools(bundle.catalog, bundle.vocab)
+    queries = []
+    for q in bundle.queries:
+        tokens = parse_marked_line(q.query, bundle.vocab).tokens
+        top = predict_topk(ckpt, tokens, tokens.index(MASK_ID), 1, pools[q.relation])[0][0]
+        queries.append(ClozeQuery(q.query, q.subject, bundle.vocab.tokens[top], q.relation,
+                                  q.subject_freq))
+    return bundle, ckpt, lookup, queries, pools
+
+
 def _moves(curve):
     return len({p1 for _, p1 in curve}) > 1
 
@@ -327,10 +347,14 @@ class TestSweep:
         assert a.curve == b.curve and a.selected_l == b.selected_l
         assert _moves(a.curve)
 
-    def test_sweep_matches_direct_build(self, moving):
-        bundle, ckpt, lookup, queries, pools = moving
+    @pytest.mark.parametrize("setting,l_values", [("moving", [1.0, 2.0, 4.0]),
+                                                  ("wide", range(1, 11))])
+    def test_sweep_matches_direct_build(self, request, setting, l_values):
+        # each curve value is a fresh build_table's run_probe; at D=128 the
+        # sweep's length groups reach the row counts whose GEMMs round apart
+        bundle, ckpt, lookup, queries, pools = request.getfixturevalue(setting)
         result = sweep_norm(queries, bundle.vocab, ckpt, lookup,
-                            bundle.catalog.ids(), [1.0, 2.0, 4.0], pools=pools)
+                            bundle.catalog.ids(), l_values, pools=pools)
         assert _moves(result.curve)
         for l, p1 in result.curve:
             direct, _ = build_table(bundle.catalog.ids(), lookup, ckpt, l)
