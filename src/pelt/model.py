@@ -8,10 +8,10 @@ a direct (D,) input vector (which is what lets constructed entity
 embeddings ride along as pseudo-tokens). Entity tables sum these outputs
 over masked occurrences; predict_topk() ranks the vocabulary against one of
 them, with or without infused vectors. Each distinct all-token input is
-encoded once: each chunk of at most 64 inputs of one length is one unpadded
-no-grad pass of the encoder, whose last layer runs past attention on the
-masked rows only, each as its own product, and of the head; no output
-depends on the batch, at any width.
+encoded once, in chunks of at most 64 inputs of one length, each one
+unpadded no-grad pass of the encoder (past attention in the last layer, each
+masked row alone) and head, spread over the calling thread and one helper
+per further CPU; no output depends on the batch or thread count, at any width.
 Training (mlm_loss) and inference run the same encoder, built from the
 fused tape ops: ten nodes per layer (six ``linear``, one ``attention``, one
 ``gelu`` and two ``layer_norm`` that add the residuals; one more adds the
@@ -21,6 +21,7 @@ masked ones only.
 """
 
 import functools
+import os
 import time
 from dataclasses import dataclass
 
@@ -142,15 +143,15 @@ def masked_outputs(ckpt, seqs, positions):
     all-token (sequence, position) pair is encoded once, its row copied to
     every repeat with the same slot types (a vector slot is unhashable and a
     float slot never equals a token: neither is merged). The distinct inputs
-    are grouped by length, and each group runs in chunks of at most
-    _MASKED_SLICE: one unpadded no-grad pass of the encoder, its last layer
-    past attention on the masked rows only, and of the head. Each masked row
-    is its own product past the last layer's attention; no output depends on
-    the batch, at any width. So the (m, D) result, in input order, equals
-    encoding one sequence at a time, whatever the chunk size.
+    are grouped by length and run in chunks of at most _MASKED_SLICE, each
+    one unpadded no-grad pass of the encoder (past the last layer's attention,
+    on the masked rows only, each its own product) and of the head, on the
+    calling thread and one helper per further usable CPU (one chunk: no thread).
+    No output depends on the batch or the thread count: the (m, D) result, in
+    input order, equals encoding one sequence at a time, at any width.
     """
     cfg, emb = ckpt.config, ckpt.params["emb.word"].data
-    first, src = {}, list(range(len(seqs)))  # src[i]: the index whose row i copies
+    first, copies = {}, {}  # copies[i]: the index whose row repeat i copies
     groups = {}  # length -> the distinct inputs of that length, in input order
     for i, seq in enumerate(seqs):
         try:
@@ -158,14 +159,14 @@ def masked_outputs(ckpt, seqs, positions):
         except TypeError:  # holds a vector
             j = i
         if j != i and list(map(type, seq)) == list(map(type, seqs[j])):  # 5.0 == 5
-            src[i] = j
+            copies[i] = j
         else:
             groups.setdefault(len(seq), []).append(i)
     if groups and max(groups) > cfg.max_len:
         raise LengthError(f"sequence of {max(groups)} exceeds max length {cfg.max_len}")
     if 0 in groups:
         raise ContractError("cannot encode an empty sequence")
-    chunks = []  # (inputs, (k, n) token matrix, (k, slot, vector) of each vector slot)
+    chunks = []  # (inputs, (k, n) tokens, (k, slot, vector) of each vector slot, rows)
     for n, idx in groups.items():
         if not all(0 <= positions[i] < n for i in idx):
             raise IndexError("a position lies outside its sequence")
@@ -174,6 +175,9 @@ def masked_outputs(ckpt, seqs, positions):
             tokens = np.full((len(part), n), PAD_ID, dtype=np.int64)
             vectors = []
             for k, i in enumerate(part):
+                if set(map(type, seqs[i])) == {int}:  # all tokens: one row store
+                    tokens[k] = seqs[i]
+                    continue
                 for j, s in enumerate(seqs[i]):
                     if isinstance(s, (int, np.integer)):
                         tokens[k, j] = s
@@ -182,20 +186,36 @@ def masked_outputs(ckpt, seqs, positions):
                     else:
                         raise ConfigError(f"input vector at slot {j} has shape "
                                           f"{np.shape(s)}, model dim is {cfg.dim}")
-            if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+            if tokens.view(np.uint64).max() >= cfg.vocab_size:  # a negative id reads huge
                 raise IndexError(f"token id out of range for vocabulary {cfg.vocab_size}")
-            chunks.append((part, tokens, vectors))
+            rows = [[k * n + positions[i]] for k, i in enumerate(part)]  # (m, 1): one row each
+            chunks.append((part, tokens, vectors, rows))
     out = np.empty((len(seqs), cfg.dim), dtype=emb.dtype)
-    for part, tokens, vectors in chunks:
-        x = emb[tokens]
-        for k, j, vec in vectors:
-            x[k, j] = vec
-        n = tokens.shape[1]
-        rows = [[k * n + positions[i]] for k, i in enumerate(part)]  # (m, 1): one row each
-        with no_grad():
+    todo = iter(chunks)  # shared: next() on a list iterator is atomic under the GIL
+
+    def drain():
+        for part, tokens, vectors, rows in todo:
+            x = emb[tokens]
+            for k, j, vec in vectors:
+                x[k, j] = vec
             r = _head(ckpt.params, cfg, _encoder(ckpt.params, cfg, Tensor(x), None, rows))
-        out[part] = r.data[:, 0]
-    return out[src]
+            out[part] = r.data[:, 0]
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    helpers = min(len(chunks), cpus or 1) - 1  # the calling thread is the first worker
+    with no_grad():  # the flag is module-wide: the helpers tape nothing either
+        if helpers < 1:
+            drain()
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # not at import: 4 ms of a cold start
+            with ThreadPoolExecutor(helpers) as pool:
+                futures = [pool.submit(drain) for _ in range(helpers)]
+                drain()
+                for f in futures:
+                    f.result()
+    if copies:
+        out[list(copies)] = out[list(copies.values())]
+    return out
 
 
 # ---------------------------------------------------------------------------

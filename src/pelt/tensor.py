@@ -33,7 +33,7 @@ _erf = None  # scipy.special.erf, most of pelt's import time: the first gelu imp
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference fast path)."""
+    """Disable tape recording inside the block, in every thread (masked_outputs' helpers too)."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False

@@ -200,18 +200,23 @@ for argv in (["gen-corpus", "--seed", "42", "--out", data],
 """
 
 
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the run pinned to one CPU encodes masked_outputs' chunks with no helper thread
     artifacts = {}
-    for threads in ("1", "2"):
-        out = tmp_path / threads
+    for run_name, threads, pin in (("1", "1", None), ("2", "2", None), ("pinned", "2", _one_cpu)):
+        out = tmp_path / run_name
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.path.join(ROOT, "src"))
         run = subprocess.run([sys.executable, "-c", _PIPELINE, str(out)], env=env,
-                             capture_output=True, text=True, timeout=300)
+                             capture_output=True, text=True, timeout=300, preexec_fn=pin)
         assert run.returncode == 0, run.stderr
-        artifacts[threads] = {name: (out / name).read_bytes() for name in
-                              ("model.bin", "table.bin", "vanilla.tsv", "infused.tsv",
-                               "sweep.tsv")}
-    assert artifacts["1"] == artifacts["2"]
+        artifacts[run_name] = {name: (out / name).read_bytes() for name in
+                               ("model.bin", "table.bin", "vanilla.tsv", "infused.tsv",
+                                "sweep.tsv")}
+    assert artifacts["1"] == artifacts["2"] == artifacts["pinned"]
 
 
 class TestSweep:

@@ -1,9 +1,14 @@
 """Encoder, MLM loss, training determinism, prediction, checkpoint io."""
 
+import concurrent.futures
 import dataclasses
 import importlib.util
+import os
 import pathlib
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -403,6 +408,89 @@ class TestMaskedOutputs:
         for size in (1, 3, 64):
             monkeypatch.setattr(pelt.model, "_MASKED_SLICE", size)
             npt.assert_array_equal(masked_outputs(tiny, seqs, positions), out)
+
+
+def _cpus(monkeypatch, n):
+    """Make masked_outputs see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestMaskedOutputsThreads:
+    """masked_outputs encodes its chunks on the calling thread and one helper
+    per further CPU, all taking chunks from one shared iterator."""
+
+    def test_more_helpers_than_cores_give_the_rows_of_one_at_a_time(self, tiny, masked_batch,
+                                                                    monkeypatch):
+        import pelt.model
+        seqs, positions = masked_batch
+        want = _one_at_a_time(tiny, seqs, positions)
+        encoder, workers, encoded = pelt.model._encoder, set(), []
+
+        def recorded(params, cfg, x, bias, rows):
+            workers.add(threading.get_ident())
+            encoded.append(x.shape[0])
+            return encoder(params, cfg, x, bias, rows)
+
+        monkeypatch.setattr(pelt.model, "_encoder", recorded)
+        monkeypatch.setattr(pelt.model, "_MASKED_SLICE", 1)  # a chunk per distinct input
+        _cpus(monkeypatch, 1)
+        masked_outputs(tiny, seqs, positions)
+        chunks = len(encoded)
+        _cpus(monkeypatch, 8)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                npt.assert_array_equal(masked_outputs(tiny, seqs, positions), want)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(workers) > 1 and threading.active_count() == before
+        assert len(encoded) == 4 * chunks > 8 and tensor._grad_enabled  # each chunk taken once
+
+    @pytest.mark.parametrize("fails", ["third chunk", "a helper's chunk"])
+    def test_an_encoder_error_reaches_the_caller(self, tiny, masked_batch, monkeypatch, fails):
+        import pelt.model
+        seqs, positions = masked_batch
+        encoder, lock, calls = pelt.model._encoder, threading.Lock(), []
+
+        def failing(*args):
+            with lock:
+                calls.append(None)
+                n = len(calls)
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if (n == 3) if fails == "third chunk" else on_helper:
+                raise FloatingPointError(fails)
+            return encoder(*args)
+
+        monkeypatch.setattr(pelt.model, "_encoder", failing)
+        monkeypatch.setattr(pelt.model, "_MASKED_SLICE", 1)
+        _cpus(monkeypatch, 8)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=fails):
+            masked_outputs(tiny, seqs, positions)
+        assert threading.active_count() == before and tensor._grad_enabled
+
+    @pytest.mark.parametrize("inputs,slice_,cpus,pools", [
+        (0, 64, 8, []), (1, 64, 8, []), (40, 64, 8, []),  # zero or one chunk: no pool
+        (2, 1, 8, [1]), (70, 1, 8, [7]), (70, 1, 2, [1]), (70, 1, 1, []), (70, 1, None, [7])])
+    def test_one_helper_per_further_cpu(self, tiny, monkeypatch, inputs, slice_, cpus, pools):
+        import pelt.model
+        made = []
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda n: made.append(n) or ThreadPoolExecutor(n))
+        monkeypatch.setattr(pelt.model, "_MASKED_SLICE", slice_)
+        if cpus is None:  # no affinity call: os.cpu_count() decides
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        else:
+            _cpus(monkeypatch, cpus)
+        seqs = [[5, 6, MASK_ID, 7 + k % 30] for k in range(inputs)]
+        before = threading.active_count()
+        out = masked_outputs(tiny, seqs, [2] * inputs)
+        assert made == pools and threading.active_count() == before
+        assert out.shape == (inputs, tiny.config.dim)
+        if inputs:
+            npt.assert_array_equal(out, _one_at_a_time(tiny, seqs, [2] * inputs))
 
 
 class TestMlmLoss:

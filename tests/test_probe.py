@@ -349,13 +349,25 @@ class TestSweep:
 
     @pytest.mark.parametrize("setting,l_values", [("moving", [1.0, 2.0, 4.0]),
                                                   ("wide", range(1, 11))])
-    def test_sweep_matches_direct_build(self, request, setting, l_values):
+    def test_sweep_matches_direct_build(self, request, monkeypatch, setting, l_values):
         # each curve value is a fresh build_table's run_probe; at D=128 the
-        # sweep's length groups reach the row counts whose GEMMs round apart
+        # sweep's length groups reach the row counts whose GEMMs round apart.
+        # The sweep's rows themselves equal one masked_outputs call per slot
+        # sequence, bit for bit, however its chunks were spread over threads.
         bundle, ckpt, lookup, queries, pools = request.getfixturevalue(setting)
+        calls = []
+
+        def captured(ckpt, seqs, positions):
+            calls.append((seqs, positions, masked_outputs(ckpt, seqs, positions)))
+            return calls[-1][2]
+
+        monkeypatch.setattr("pelt.probe.masked_outputs", captured)
         result = sweep_norm(queries, bundle.vocab, ckpt, lookup,
                             bundle.catalog.ids(), l_values, pools=pools)
         assert _moves(result.curve)
+        (seqs, positions, rows), = calls
+        np.testing.assert_array_equal(rows, np.vstack(
+            [masked_outputs(ckpt, [s], [p]) for s, p in zip(seqs, positions)]))
         for l, p1 in result.curve:
             direct, _ = build_table(bundle.catalog.ids(), lookup, ckpt, l)
             report = run_probe(queries, bundle.vocab, ckpt, table=direct, pools=pools)
