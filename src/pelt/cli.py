@@ -115,6 +115,10 @@ def _cmd_train(args):
     )
     model_mod.check_train_args(sentences, config, args.steps, args.lr, args.mask_rate,
                                args.batch, args.log_every)
+    if os.path.isdir(args.out):
+        raise ConfigError(f"cannot write {args.out}: it is a directory")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"cannot write {args.out}: its directory does not exist")
     _provenance(args.seed)
     ckpt = model_mod.train_mlm(
         sentences, config,

@@ -86,6 +86,8 @@ def load_page_graph(path):
             if len(parts) < 3:
                 raise FormatError(f"{path}:{lineno}: PAGE needs id and title")
             pid, title = parts[1], parts[2]
+            if pid in pages:
+                raise FormatError(f"{path}:{lineno}: page {pid!r} appears twice")
             aliases = frozenset(normalize_alias(a) for a in parts[2:] if a.strip())
             pages[pid] = Page(pid, title, aliases)
         elif kind == "EDGE":

@@ -7,11 +7,11 @@ output at one position of each slot sequence, where a slot is a token id or
 a direct (D,) input vector (which is what lets constructed entity
 embeddings ride along as pseudo-tokens). Entity tables sum these outputs
 over masked occurrences; predict_topk() ranks the vocabulary against one of
-them, with or without infused vectors. Each distinct all-token input is
-encoded once, in chunks of at most 64 inputs of one length, each one
-unpadded no-grad pass of the encoder (past attention in the last layer, each
-masked row alone) and head, spread over the calling thread and one helper
-per further CPU; no output depends on the batch or thread count, at any width.
+them, with or without infused vectors. Every input is encoded as given,
+in chunks of at most 64 inputs of one length, each one unpadded no-grad
+pass of the encoder (past attention in the last layer, each masked row
+alone) and head, spread over the calling thread and one helper per further
+CPU; no output depends on the batch or thread count, at any width.
 Training (mlm_loss) and inference run the same encoder, built from the
 fused tape ops: ten nodes per layer (six ``linear``, one ``attention``, one
 ``gelu`` and two ``layer_norm`` that add the residuals; one more adds the
@@ -139,29 +139,19 @@ def _head(params, cfg, h):
 def masked_outputs(ckpt, seqs, positions):
     """MLM-head output at ``positions[i]`` of each slot sequence ``seqs[i]``.
 
-    A slot is a token id or a direct (D,) input vector. Each distinct
-    all-token (sequence, position) pair is encoded once, its row copied to
-    every repeat with the same slot types (a vector slot is unhashable and a
-    float slot never equals a token: neither is merged). The distinct inputs
-    are grouped by length and run in chunks of at most _MASKED_SLICE, each
-    one unpadded no-grad pass of the encoder (past the last layer's attention,
-    on the masked rows only, each its own product) and of the head, on the
-    calling thread and one helper per further usable CPU (one chunk: no thread).
+    A slot is a token id or a direct (D,) input vector. Every input, a
+    repeat too, is encoded as given: the inputs are grouped by length and
+    run in chunks of at most _MASKED_SLICE, each one unpadded no-grad pass
+    of the encoder (past the last layer's attention, on the masked rows
+    only, each its own product) and of the head, on the calling thread and
+    one helper per further usable CPU (one chunk: no thread).
     No output depends on the batch or the thread count: the (m, D) result, in
     input order, equals encoding one sequence at a time, at any width.
     """
     cfg, emb = ckpt.config, ckpt.params["emb.word"].data
-    first, copies = {}, {}  # copies[i]: the index whose row repeat i copies
-    groups = {}  # length -> the distinct inputs of that length, in input order
+    groups = {}  # length -> the inputs of that length, in input order
     for i, seq in enumerate(seqs):
-        try:
-            j = first.setdefault((tuple(seq), positions[i]), i)
-        except TypeError:  # holds a vector
-            j = i
-        if j != i and list(map(type, seq)) == list(map(type, seqs[j])):  # 5.0 == 5
-            copies[i] = j
-        else:
-            groups.setdefault(len(seq), []).append(i)
+        groups.setdefault(len(seq), []).append(i)
     if groups and max(groups) > cfg.max_len:
         raise LengthError(f"sequence of {max(groups)} exceeds max length {cfg.max_len}")
     if 0 in groups:
@@ -213,8 +203,6 @@ def masked_outputs(ckpt, seqs, positions):
                 drain()
                 for f in futures:
                     f.result()
-    if copies:
-        out[list(copies)] = out[list(copies.values())]
     return out
 
 

@@ -92,16 +92,15 @@ class DirectionSet:
 
 
 def collect_directions(entity_ids, sentences, ckpt, cap=OCCURRENCE_CAP):
-    """Index every entity in one pass, encode every occurrence in one sorted
-    pass, then sum each entity's masked outputs."""
+    """Index every entity in one pass, encode each distinct occurrence once
+    in one call (entities share masked sentence shapes, so one occurrence
+    can serve several), then sum each entity's masked outputs."""
     indexed = index_occurrences(sorted(set(entity_ids)), sentences, cap=cap)
-    found = {eid: occ for eid, occ in indexed.items() if occ}
-    flat = [o for occ in found.values() for o in occ]
-    r = masked_outputs(ckpt, [o.tokens for o in flat], [o.mask_pos for o in flat])
-    ends = np.cumsum([len(occ) for occ in found.values()])
-    directions = {eid: (sum_direction(rows), len(rows))
-                  for eid, rows in zip(found, np.split(r, ends[:-1]))}
-    skipped = [eid for eid, occ in indexed.items() if not occ]
+    row = {}  # distinct occurrence -> its row of r, in first-encounter order
+    rows = {eid: [row.setdefault(o, len(row)) for o in occ] for eid, occ in indexed.items()}
+    r = masked_outputs(ckpt, [o.tokens for o in row], [o.mask_pos for o in row])
+    directions = {eid: (sum_direction(r[i]), len(i)) for eid, i in rows.items() if i}
+    skipped = [eid for eid, i in rows.items() if not i]
     return DirectionSet(fingerprint(ckpt), ckpt.config.dim, directions, skipped)
 
 

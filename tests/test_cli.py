@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from pelt.checkpoint import fingerprint, load_checkpoint
 from pelt.cli import main, parse_args
 from pelt.corpus import (DATA_FILES, EntityCatalog, index_occurrences, parse_corpus,
                          read_corpus_file)
+from pelt.errors import DivergenceError
 from pelt.table import load_table
 from pelt.vocab import Vocabulary
 
@@ -51,8 +53,7 @@ def _flags(options):
 
 
 def _files(d):
-    return {name: open(os.path.join(d, name), "rb").read()
-            for name in sorted(os.listdir(d))}
+    return {name: Path(d, name).read_bytes() for name in sorted(os.listdir(d))}
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +95,34 @@ class TestTrain:
                    "--lr", "1e-3", "--dim", "16", "--layers", "1", "--heads", "2",
                    "--maxlen", "40", "--seed", "13", "--log-every", "0"])
         assert rc == 0
-        assert open(ckpt, "rb").read() == open(other, "rb").read()
+        assert Path(ckpt).read_bytes() == Path(other).read_bytes()
+
+    @pytest.mark.parametrize("out,reason", [("missing/model.bin", "its directory does not exist"),
+                                            ("d", "it is a directory")])
+    def test_unwritable_out_exits_1_before_training(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch, out, reason):
+        _, data, _ = pipeline
+        monkeypatch.setattr("pelt.model.train_mlm", lambda *a, **k: pytest.fail("trained"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert main(["train", "--data", data, "--out", out, "--steps", "1"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
+    def test_failed_training_keeps_the_previous_checkpoint(self, pipeline, tmp_path,
+                                                           monkeypatch):
+        _, data, _ = pipeline
+        out = tmp_path / "model.bin"
+        out.write_bytes(b"previous")
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError(0)
+
+        monkeypatch.setattr("pelt.model.train_mlm", diverge)
+        assert main(["train", "--data", data, "--out", str(out), "--steps", "1"]) == 1
+        assert out.read_bytes() == b"previous"
 
 
 class TestBuildTableAndProbe:
@@ -111,8 +139,8 @@ class TestBuildTableAndProbe:
                      "--tsv", tsv_i]) == 0
         out = capsys.readouterr().out
         assert "# pelt" in out and "macro mean" in out
-        assert "mode\tvanilla" in open(tsv_v).read()
-        assert "mode\tinfused" in open(tsv_i).read()
+        assert "mode\tvanilla" in Path(tsv_v).read_text()
+        assert "mode\tinfused" in Path(tsv_i).read_text()
 
     def test_cross_checkpoint_table_refused(self, pipeline, tmp_path):
         root, data, ckpt = pipeline
@@ -228,7 +256,7 @@ class TestSweep:
         assert rc == 0
         out = capsys.readouterr().out
         assert "<- selected" in out
-        lines = open(tsv).read().splitlines()
+        lines = Path(tsv).read_text().splitlines()
         assert sum(1 for l in lines if l.startswith("sweep\t")) == 3
         assert any(l.startswith("selected\t") for l in lines)
 
@@ -241,6 +269,16 @@ class TestLink:
         out = capsys.readouterr().out
         assert "d02\tquicksilver\tUNRESOLVED\t-" in out
         assert "d03\ttemple\tp18\t2" in out
+
+    def test_repeated_page_id_exits_1(self, tmp_path, capsys):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("PAGE\tp1\tAlpha\nPAGE\tp1\tBeta\nDOC\td1\t{{Alpha}}\n",
+                         encoding="utf-8")
+        tsv = tmp_path / "l.tsv"
+        assert main(["link", "--graph", str(graph), "--tsv", str(tsv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {graph}:2: page 'p1' appears twice\n"
+        assert not captured.out and not tsv.exists()
 
 
 class TestDiagnostics:
@@ -365,7 +403,7 @@ class TestUsageAndConfig:
         cfg.write_text(f"restrict=true\ntsv={file_tsv}\n")
         assert main(probe + ["--config", str(cfg)]) == 0
         assert capsys.readouterr().out == by_flags != unrestricted
-        assert open(file_tsv).read() == open(flags_tsv).read()
+        assert Path(file_tsv).read_text() == Path(flags_tsv).read_text()
 
     @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
     def test_config_round_trips_every_option(self, tmp_path, command):
@@ -524,7 +562,7 @@ class TestUsageAndConfig:
                                                       edit):
         _, data, ckpt = pipeline
         bad = tmp_path / "model.bin"
-        bad.write_bytes(edit(open(ckpt, "rb").read()))
+        bad.write_bytes(edit(Path(ckpt).read_bytes()))
         assert main(["probe", "--ckpt", str(bad), "--data", data]) == 1
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {bad}: ")

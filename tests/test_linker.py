@@ -1,9 +1,11 @@
 """Alias table and iterative disambiguation."""
 
 import random
+import re
 
 import pytest
 
+from pelt.errors import FormatError
 from pelt.linker import (Anchor, Candidate, Document, Page, PageGraph,
                          build_alias_table, link_document_rows, link_iterate,
                          load_page_graph, normalize_alias)
@@ -167,3 +169,13 @@ class TestToyGraphGroundTruth:
         doc = next(d for d in toy.docs if d.doc_id == "d03")
         rows = link_document_rows(doc, toy)
         assert "d03\ttemple\tp18\t2" in rows
+
+
+class TestLoadPageGraph:
+    def test_repeated_page_id_rejected(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("PAGE\tp1\tAlpha\nPAGE\tp2\tGamma\nPAGE\tp1\tBeta\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: page 'p1' "
+                                              "appears twice$"):
+            load_page_graph(str(path))

@@ -223,7 +223,7 @@ class TestHead:
         npt.assert_allclose(np.linalg.norm(r, axis=1), np.sqrt(16), atol=1e-9)
 
     def test_identical_inputs_identical_outputs(self, tiny):
-        vec = np.full(tiny.config.dim, 0.3, np.float32)  # a vector slot: never merged
+        vec = np.full(tiny.config.dim, 0.3, np.float32)  # a vector slot
         r = masked_outputs(tiny, [[5, vec, 7], [5, vec, 7]], [1, 1])
         npt.assert_array_equal(r[0], r[1])
 
@@ -327,7 +327,7 @@ class TestMaskedOutputs:
     def test_empty_list_gives_no_rows(self, tiny):
         assert masked_outputs(tiny, [], []).shape == (0, tiny.config.dim)
 
-    def test_repeated_inputs_are_encoded_once(self, tiny, monkeypatch):
+    def test_repeated_inputs_give_the_rows_of_one_at_a_time(self, tiny, monkeypatch):
         # 150 sequences over 40 distinct (tokens, position) pairs, repeats far
         # apart across chunks, and equal tokens at different positions
         import pelt.model
@@ -339,9 +339,7 @@ class TestMaskedOutputs:
         picks = rng.integers(len(pairs), size=150)
         seqs = [list(pairs[j][0]) if k % 2 else pairs[j][0] for k, j in enumerate(picks)]
         positions = [pairs[j][1] for j in picks]
-        encoded = _encoded_batches(monkeypatch)
         out = masked_outputs(tiny, seqs, positions)
-        assert sum(encoded) == len({pairs[j] for j in picks})
         npt.assert_array_equal(out, _one_at_a_time(tiny, seqs, positions))
         monkeypatch.setattr(pelt.model, "_MASKED_SLICE", 3)
         npt.assert_array_equal(masked_outputs(tiny, seqs, positions), out)
@@ -355,15 +353,15 @@ class TestMaskedOutputs:
         assert np.abs(out[0] - out[1]).max() > 1e-6
 
     def test_float_slot_equal_to_a_token_not_merged(self, tiny):
-        # 5.0 == 5 and hashes alike, but only an int slot is a token: the
-        # float sequence raises what it raises alone, in either order
+        # 5.0 == 5, but only an int slot is a token: the float sequence
+        # raises what it raises alone, in either order
         with pytest.raises(ConfigError, match="slot 0 has shape") as alone:
             masked_outputs(tiny, [[5.0, 6, 1]], [0])
         for seqs in ([[5, 6, 1], [5.0, 6, 1]], [[5.0, 6, 1], [5, 6, 1]]):
-            with pytest.raises(ConfigError) as merged:
+            with pytest.raises(ConfigError) as beside:
                 masked_outputs(tiny, seqs, [0, 0])
-            assert str(merged.value) == str(alone.value)
-        # token ids of other integer types still merge
+            assert str(beside.value) == str(alone.value)
+        # token ids of any integer type are tokens
         seqs = [[5, 6, 1], [np.int64(5), 6, 1], (5, 6, 1)]
         npt.assert_array_equal(masked_outputs(tiny, seqs, [0, 0, 0]),
                                _one_at_a_time(tiny, seqs, [0, 0, 0]))
@@ -432,7 +430,7 @@ class TestMaskedOutputsThreads:
             return encoder(params, cfg, x, bias, rows)
 
         monkeypatch.setattr(pelt.model, "_encoder", recorded)
-        monkeypatch.setattr(pelt.model, "_MASKED_SLICE", 1)  # a chunk per distinct input
+        monkeypatch.setattr(pelt.model, "_MASKED_SLICE", 1)  # a chunk per input
         _cpus(monkeypatch, 1)
         masked_outputs(tiny, seqs, positions)
         chunks = len(encoded)

@@ -1,5 +1,6 @@
 """Entity embedding construction, the direction oracle, and table io."""
 
+import re
 import struct
 
 import numpy as np
@@ -92,19 +93,48 @@ def _one_by_one(ckpt, occurrences):
     return np.vstack([masked_outputs(ckpt, [o.tokens], [o.mask_pos]) for o in occurrences])
 
 
+@pytest.fixture(scope="module")
+def shared(setup):
+    """The lookup corpus twice, the copy naming the next entity at every
+    mention: entities then share masked sentence shapes."""
+    bundle, ckpt, _ = setup
+    ids = bundle.catalog.ids()
+    successor = {f"[[{a}|": f"[[{b}|" for a, b in zip(ids, ids[1:] + ids[:1])}
+    relabelled = [re.sub(r"\[\[[^|\]]+\|", lambda m: successor[m.group(0)], line)
+                  for line in bundle.lookup_lines]
+    return ids, parse_corpus(bundle.lookup_lines + relabelled, bundle.vocab)
+
+
 class TestCollect:
-    def test_one_pass_matches_each_entity_alone(self, setup):
+    def test_each_distinct_occurrence_is_encoded_once(self, setup, shared, monkeypatch):
+        _, ckpt, _ = setup
+        ids, lookup = shared
+        every = [o for occ in index_occurrences(ids, lookup).values() for o in occ]
+        assert len(set(every)) < len(every) / 1.5  # most occurrences serve two entities
+        calls = []
+
+        def spy(ckpt, seqs, positions):
+            calls.append(list(zip(seqs, positions)))
+            return masked_outputs(ckpt, seqs, positions)
+
+        monkeypatch.setattr("pelt.table.masked_outputs", spy)
+        collect_directions(ids, lookup, ckpt)
+        assert len(calls) == 1
+        assert calls[0] == [(o.tokens, o.mask_pos) for o in dict.fromkeys(every)]
+
+    def test_one_pass_matches_each_entity_alone(self, setup, shared):
+        # on the lookup corpus, and on one where entities share occurrences
         bundle, ckpt, lookup = setup
-        ids = bundle.catalog.ids()
-        occ_sets = index_occurrences(ids, lookup)
-        together = collect_directions(ids, lookup, ckpt).directions
-        assert len(together) > 2
-        for eid, (direction, count) in together.items():
-            alone = collect_directions([eid], lookup, ckpt).directions[eid]
-            npt.assert_array_equal(direction, alone[0])
-            assert count == alone[1] == len(occ_sets[eid])
-            npt.assert_array_equal(direction,
-                                   sum_direction(_one_by_one(ckpt, occ_sets[eid])))
+        for ids, lookup in ((bundle.catalog.ids(), lookup), shared):
+            occ_sets = index_occurrences(ids, lookup)
+            together = collect_directions(ids, lookup, ckpt).directions
+            assert len(together) > 2
+            for eid, (direction, count) in together.items():
+                alone = collect_directions([eid], lookup, ckpt).directions[eid]
+                npt.assert_array_equal(direction, alone[0])
+                assert count == alone[1] == len(occ_sets[eid])
+                npt.assert_array_equal(direction,
+                                       sum_direction(_one_by_one(ckpt, occ_sets[eid])))
 
 
 class TestBuildTable:
