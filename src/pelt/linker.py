@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from pelt.corpus import MENTION_RE
-from pelt.errors import ConfigError, FormatError, read_lines
+from pelt.errors import FormatError, read_lines
 
 CANDIDATE_RE = re.compile(r"\{\{([^}]+)\}\}")
 
@@ -62,21 +62,16 @@ class PageGraph:
 
     def __post_init__(self):
         for src, dst, _ in self.edges:
-            if src not in self.pages or dst not in self.pages:
-                raise ConfigError(f"edge ({src}, {dst}) references a missing page")
             self.neighbors.setdefault(src, set()).add(dst)
             self.neighbors.setdefault(dst, set()).add(src)
-        for doc in self.docs:
-            for a in doc.anchors:
-                if a.page_id not in self.pages:
-                    raise ConfigError(
-                        f"doc {doc.doc_id}: anchor to missing page {a.page_id}")
 
 
 def load_page_graph(path):
+    """Read a page graph; a record may name a page declared further down."""
     pages = {}
     edges = []
-    docs = []
+    docs = {}
+    refs = []  # (line, page id, error): checked once every PAGE is read
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -93,19 +88,29 @@ def load_page_graph(path):
         elif kind == "EDGE":
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: EDGE needs src, dst, kind")
-            edges.append((parts[1], parts[2], parts[3]))
+            src, dst = parts[1], parts[2]
+            edges.append((src, dst, parts[3]))
+            refs += [(lineno, pid, f"edge ({src}, {dst}) references a missing page")
+                     for pid in (src, dst)]
         elif kind == "DOC":
             if len(parts) < 3:
                 raise FormatError(f"{path}:{lineno}: DOC needs id and text")
-            text = "\t".join(parts[2:])
+            did, text = parts[1], "\t".join(parts[2:])
+            if did in docs:
+                raise FormatError(f"{path}:{lineno}: doc {did!r} appears twice")
             anchors = tuple(Anchor(m.group(1), m.group(2))
                             for m in MENTION_RE.finditer(text))
             candidates = tuple(Candidate(i, m.group(1))
                                for i, m in enumerate(CANDIDATE_RE.finditer(text)))
-            docs.append(Document(parts[1], anchors, candidates))
+            docs[did] = Document(did, anchors, candidates)
+            refs += [(lineno, a.page_id, f"doc {did}: anchor to missing page {a.page_id}")
+                     for a in anchors]
         else:
             raise FormatError(f"{path}:{lineno}: unknown record type {kind!r}")
-    return PageGraph(pages, edges, docs)
+    for lineno, pid, error in refs:
+        if pid not in pages:
+            raise FormatError(f"{path}:{lineno}: {error}")
+    return PageGraph(pages, edges, list(docs.values()))
 
 
 def build_alias_table(pages):

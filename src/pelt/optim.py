@@ -1,4 +1,4 @@
-"""Adam optimizer over a ParamStore, packed into one flat buffer."""
+"""Adam over a ParamStore; it owns the flat parameter and gradient buffers."""
 
 import numpy as np
 
@@ -9,14 +9,23 @@ _EPSILON = 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction. Building it packs the store, so
-    one step is a few whole-buffer array operations over every parameter."""
+    """Standard Adam with bias correction. Building it packs the store: each
+    parameter's data becomes a view of one buffer, in store order. Each step
+    gathers the gradients into one more, then updates the whole buffer."""
 
     def __init__(self, params, lr=1e-3):
         self.params = params
         self.lr = lr
         self.t = 0
-        self._data, self._grad = params.pack()
+        tensors = [p for _, p in params.items()]
+        if len({p.data.dtype for p in tensors}) > 1:
+            raise ContractError("cannot pack parameters of mixed dtypes")
+        self._data = np.concatenate([p.data.reshape(-1) for p in tensors])
+        off = 0
+        for p in tensors:
+            p.data = self._data[off:off + p.data.size].reshape(p.data.shape)
+            off += p.data.size
+        self._grad = np.empty_like(self._data)
         self._m = np.zeros_like(self._data)
         self._v = np.zeros_like(self._data)
 
@@ -26,8 +35,7 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 raise ContractError(f"adam step: parameter {name!r} has no gradient")
-            if p.grad is not p._slot:  # set from outside the tape
-                p._slot[...] = p.grad
+        np.concatenate([p.grad.reshape(-1) for _, p in self.params.items()], out=self._grad)
         self.t += 1
         b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1 ** self.t

@@ -11,8 +11,7 @@ fused ``linear``, ``attention``, ``tied_cross_entropy`` and ``layer_norm``
 make the numpy calls of the generic matmul/add/reshape/transpose/softmax
 composition they replace, on the same operand layouts, so their bits are
 the composition's; ``gelu`` (on every row, or on chosen rows only) and
-``layer_norm`` work in place. ``ParamStore.pack`` gives the parameters one
-buffer, their gradients one more. The exact attention row max reduces a
+``layer_norm`` work in place. The exact attention row max reduces a
 key-major copy: numpy's max over a short last axis costs ~50 ns a row.
 gather_rows' backward adds at flat row * D + col: np.add.at's fast 1-D path.
 """
@@ -46,7 +45,7 @@ def no_grad():
 class Tensor:
     """A dense row-major array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_slot")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -57,7 +56,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-        self._slot = None  # a packed parameter's view into the gradient buffer
 
     @property
     def shape(self):
@@ -110,14 +108,11 @@ class Tensor:
 
 def _accum(t, g, owned=True):
     """Add g into t.grad; an ``owned`` g (computed by the op for t alone) is
-    kept as it is, and a packed parameter's first g is copied into its slot."""
+    kept as it is, any other first g is copied."""
     if not t.requires_grad:
         return
     if t.grad is not None:
         t.grad += g
-    elif t._slot is not None:
-        t._slot[...] = g
-        t.grad = t._slot
     else:
         t.grad = g if owned and g.dtype == t.data.dtype else g.astype(t.data.dtype)
 
@@ -126,7 +121,7 @@ def _result(data, parents, backward):
     """An op's output around its own ndarray ``data`` (no Tensor.__init__ coercion)."""
     out = Tensor.__new__(Tensor)
     taped = _grad_enabled and any(p.requires_grad for p in parents)
-    out.data, out.grad, out._slot, out.requires_grad = data, None, None, taped
+    out.data, out.grad, out.requires_grad = data, None, taped
     out._parents, out._backward = (tuple(parents), backward) if taped else ((), None)
     return out
 
@@ -381,19 +376,3 @@ class ParamStore:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
-
-    def pack(self):
-        """Move every parameter into one contiguous buffer, in insertion
-        order, and give each a slot in one gradient buffer; returns both."""
-        tensors = list(self._params.values())
-        if len({t.data.dtype for t in tensors}) > 1:
-            raise ContractError("cannot pack parameters of mixed dtypes")
-        data = np.concatenate([t.data.reshape(-1) for t in tensors])
-        grad = np.zeros_like(data)
-        off = 0
-        for t in tensors:
-            n = t.data.size
-            t.data = data[off:off + n].reshape(t.data.shape)
-            t._slot = grad[off:off + n].reshape(t.data.shape)
-            off += n
-        return data, grad

@@ -1,6 +1,10 @@
 """End-to-end subcommand behavior on a miniature pipeline."""
 
+import contextlib
+import importlib.resources
+import io
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -8,13 +12,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pelt
 from pelt.checkpoint import fingerprint, load_checkpoint
 from pelt.cli import main, parse_args
 from pelt.corpus import (DATA_FILES, EntityCatalog, index_occurrences, parse_corpus,
                          read_corpus_file)
-from pelt.errors import DivergenceError
+from pelt.errors import DivergenceError, UsageError
 from pelt.table import load_table
 from pelt.vocab import Vocabulary
 
@@ -278,6 +284,23 @@ class TestLink:
         assert main(["link", "--graph", str(graph), "--tsv", str(tsv)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {graph}:2: page 'p1' appears twice\n"
+        assert not captured.out and not tsv.exists()
+
+    @pytest.mark.parametrize("text, error", [
+        ("PAGE\tp1\tAlpha\nEDGE\tp1\tp9\thyperlink\n",
+         "2: edge (p1, p9) references a missing page"),
+        ("PAGE\tp1\tAlpha\nDOC\td1\t[[p7|seven]] {{Alpha}}\n",
+         "2: doc d1: anchor to missing page p7"),
+        ("PAGE\tp1\tAlpha\nDOC\td1\t{{Alpha}}\nDOC\td1\t{{Alpha}}\n",
+         "3: doc 'd1' appears twice"),
+    ], ids=["undeclared-edge-page", "undeclared-anchor-page", "repeated-doc-id"])
+    def test_bad_reference_exits_1_naming_the_line(self, tmp_path, capsys, text, error):
+        graph = tmp_path / "graph.txt"
+        graph.write_text(text, encoding="utf-8")
+        tsv = tmp_path / "l.tsv"
+        assert main(["link", "--graph", str(graph), "--tsv", str(tsv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {graph}:{error}\n"
         assert not captured.out and not tsv.exists()
 
 
@@ -635,3 +658,57 @@ class TestUsageAndConfig:
         assert main(argv[:1] + ["--ckpt", ckpt, "--data", data] + out + argv[1:]) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out
+
+
+@st.composite
+def _one_line_mutated(draw, lines, token):
+    """``lines`` with one line duplicated, given a tab, cut, or with one
+    ``token`` match (the whole line if none) replaced by the undeclared p99."""
+    i = draw(st.integers(0, len(lines) - 1))
+    line, how = lines[i], draw(st.sampled_from(["duplicate", "tab", "cut", "undeclared"]))
+    if how == "duplicate":
+        return lines[:i + 1] + lines[i:]
+    if how == "undeclared":
+        spans = [m.span() for m in re.finditer(token, line)] or [(0, len(line))]
+        a, b = draw(st.sampled_from(spans))
+        line = line[:a] + "p99" + line[b:]
+    else:
+        a = draw(st.integers(0, len(line)))
+        b = a if how == "tab" else draw(st.integers(a, len(line)))
+        line = line[:a] + ("\t" if how == "tab" else "") + line[b:]
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+_GRAPH_LINES = (importlib.resources.files("pelt") / "data/toy_graph.txt").read_text(
+    encoding="utf-8").splitlines()
+
+
+class TestMutatedTextInputs:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(lines=_one_line_mutated(_GRAPH_LINES, r"\bp\d\d\b"))
+    def test_mutated_page_graph_links_or_exits_1_naming_the_file(self, tmp_path_factory,
+                                                                  lines):
+        path = tmp_path_factory.getbasetemp() / "mutated_graph.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["link", "--graph", str(path)])
+        errors = err.getvalue().splitlines()
+        assert (code, errors) == (0, []) or (
+            code == 1 and len(errors) == 1 and errors[0].startswith(f"error: {path}:"))
+
+    # parse_args only: a mutated value never starts the command's work
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_parses_or_is_a_usage_error_naming_the_file(self, tmp_path_factory,
+                                                                       data):
+        command = data.draw(st.sampled_from(sorted(EVERY_OPTION)))
+        required, optional = EVERY_OPTION[command]
+        text = [f"{key}={'true' if value is True else value}" for key, value in optional.items()]
+        path = tmp_path_factory.getbasetemp() / "mutated.cfg"
+        path.write_text("\n".join(data.draw(_one_line_mutated(text, r"[^=\s]+"))) + "\n",
+                        encoding="utf-8")
+        try:
+            parse_args([command] + _flags(required) + ["--config", str(path)])
+        except UsageError as err:
+            assert str(err).startswith(f"{path}: ")

@@ -179,3 +179,25 @@ class TestLoadPageGraph:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: page 'p1' "
                                               "appears twice$"):
             load_page_graph(str(path))
+
+    @pytest.mark.parametrize("text, line, error", [
+        ("PAGE\tp1\tAlpha\nEDGE\tp1\tp9\thyperlink\n", 2,
+         "edge (p1, p9) references a missing page"),
+        ("PAGE\tp1\tAlpha\nDOC\td1\t[[p7|seven]] {{Alpha}}\n", 2,
+         "doc d1: anchor to missing page p7"),
+        ("PAGE\tp1\tAlpha\nDOC\td1\t{{Alpha}}\nDOC\td1\t{{Beta}}\n", 3,
+         "doc 'd1' appears twice"),
+    ], ids=["undeclared-edge-page", "undeclared-anchor-page", "repeated-doc-id"])
+    def test_bad_record_names_its_line(self, tmp_path, text, line, error):
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:{line}: {error}')}$"):
+            load_page_graph(str(path))
+
+    def test_record_may_name_a_page_declared_later(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("EDGE\tp2\tp1\thyperlink\nDOC\td1\t[[p2|Beta]] {{Alpha}}\n"
+                        "PAGE\tp1\tAlpha\nPAGE\tp2\tBeta\n", encoding="utf-8")
+        graph = load_page_graph(str(path))
+        assert graph.neighbors == {"p1": {"p2"}, "p2": {"p1"}}
+        assert link_document_rows(graph.docs[0], graph) == ["d1\tAlpha\tp1\t1"]

@@ -26,8 +26,10 @@ from pelt.errors import (ConfigError, ContractError, CorruptionError,
                          FormatError, LengthError)
 from pelt.gradcheck import grad_check
 from pelt.infuse import augment
-from pelt.model import (Checkpoint, ModelConfig, init_params, masked_outputs,
-                        mlm_loss, param_layout, predict_topk, train_mlm)
+from pelt.model import (Checkpoint, ModelConfig, _lr_schedule, init_params,
+                        masked_outputs, mlm_loss, param_layout, predict_topk,
+                        rank_tokens, train_mlm)
+from pelt.optim import Adam
 from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch
 from pelt.table import build_table
 from pelt.vocab import MASK_ID, PAD_ID
@@ -699,6 +701,12 @@ class TestTrain:
         with pytest.raises(ConfigError, match="log_every >= 0, got -1"):
             train_mlm(sentences, config, steps=1, lr=1e-3, log_every=-1)
 
+    @pytest.mark.parametrize("steps, step, want", [
+        (100, 0, 0.1), (100, 4, 0.5), (100, 9, 1.0), (100, 10, 1.0),
+        (100, 55, 0.55), (100, 99, 0.11), (100, 100, 0.1), (5, 0, 1.0), (5, 4, 0.325)])
+    def test_lr_warms_up_over_a_tenth_then_decays_to_a_tenth(self, steps, step, want):
+        assert _lr_schedule(2e-3, step, steps) == pytest.approx(2e-3 * want, rel=1e-12)
+
     @pytest.mark.parametrize("steps,batch", [(-1, 32), (1, 0)])
     def test_negative_steps_or_empty_batch_rejected(self, trained_bits, steps, batch):
         _, sentences, _ = trained_bits
@@ -740,6 +748,17 @@ class TestPredictTopk:
     def test_candidate_restriction(self, tiny):
         ranked = predict_topk(tiny, [5, MASK_ID, 7], 1, 5, candidates=[8, 9, 10])
         assert {t for t, _ in ranked} == {8, 9, 10}
+
+    @pytest.mark.parametrize("candidates", [None, [12, 9, 3, 20]])
+    def test_tie_goes_to_the_lower_id(self, candidates):
+        ckpt = synthetic_checkpoint(dim=16, layers=1, heads=2, vocab_size=40,
+                                    max_len=16, seed=5, dtype=np.float32)
+        emb = ckpt.params["emb.word"].data
+        r = np.zeros(16, dtype=np.float32)
+        r[0] = 1.0
+        emb[[9, 3]] = 10 * r
+        ranked = rank_tokens(ckpt, r, 2, candidates)
+        assert [t for t, _ in ranked] == [3, 9] and ranked[0][1] == ranked[1][1] == 10.0
 
     def test_frequent_entity_fact_ranked_first(self, trained_bits):
         bundle, _, ckpt = trained_bits
@@ -844,11 +863,11 @@ class TestCheckpointIO:
         tiny.params["emb.word"].data[0, 0] -= 1.0
         assert fp1 != fp2 and len(fp1) == 32
 
-    def test_packed_store_serializes_to_the_same_bytes(self):
+    def test_building_adam_packs_without_moving_bytes(self):
         ckpt = synthetic_checkpoint(dim=16, layers=2, heads=2, vocab_size=40,
                                     max_len=16, seed=6, dtype=np.float32)
         before = serialize_checkpoint(ckpt)
-        data, _ = ckpt.params.pack()
+        data = Adam(ckpt.params)._data
         assert all(p.data.base is data for _, p in ckpt.params.items())
         assert serialize_checkpoint(ckpt) == before
 

@@ -316,6 +316,20 @@ class TestTableIO:
         with pytest.raises(FormatError, match="not L=7"):
             load_table(path, ckpt)
 
+    def test_vector_norm_ten_ulps_off_l_rejected(self, setup, tmp_path):
+        eps = np.finfo(np.float32).eps
+        off = []
+
+        def patch(raw, table):
+            last = next(reversed(table.entries.values()))
+            vec = (last.vector.astype(np.float64) * (1 + 10 * eps)).astype("<f4")
+            off.append(np.linalg.norm(vec.astype(np.float64)) / 7.0 - 1)
+            raw[-4 * len(vec):] = vec.tobytes()
+        path, ckpt = self._patched(setup, tmp_path, patch)
+        assert 8 * eps < off[0] < 12 * eps
+        with pytest.raises(FormatError, match="not L=7"):
+            load_table(path, ckpt)
+
     def test_failed_save_keeps_previous_file(self, setup, tmp_path):
         bundle, ckpt, lookup = setup
         path = tmp_path / "t.bin"

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from pelt.errors import ContractError, ShapeError
 from pelt.gradcheck import grad_check
+from pelt.model import mlm_loss
 from pelt.optim import Adam
+from pelt.synth import synthetic_checkpoint, synthetic_mlm_batch
 from pelt.tensor import (ParamStore, Tensor, _accum, _result, attention,
                          gather_rows, gelu, layer_norm, linear, no_grad,
                          tied_cross_entropy)
@@ -673,18 +675,51 @@ class TestFlatAdam:
         for p, w in zip(params, want):
             assert_bits(p.data, w)
 
-    def test_first_gradient_fills_the_slot_then_accumulates(self):
+    def test_tape_gradients_share_no_memory(self):
+        ckpt = synthetic_checkpoint(dim=16, layers=2, heads=2, vocab_size=40,
+                                    max_len=16, seed=5, dtype=np.float32)
+        Adam(ckpt.params)
+        tokens, targets = synthetic_mlm_batch(40, batch=3, length=8, seed=1)
+        mlm_loss(ckpt.params, ckpt.config, tokens, targets).backward()
+        params = [p for _, p in ckpt.params.items()]
+        assert all(p.grad is not None and p.grad.dtype == np.float32 for p in params)
+        for i, p in enumerate(params):
+            assert not any(np.shares_memory(p.grad, q.grad) for q in params[i + 1:])
+            assert not any(np.shares_memory(p.grad, q.data) for q in params)
+
+    def test_accum_never_writes_into_a_borrowed_gradient(self):
         store = ParamStore()
         p = store.add("p", np.zeros(3))
-        store.pack()
+        Adam(store)
         g = np.array([1.0, 2.0, 3.0])
-        _accum(p, g)
-        assert p.grad is not g and p.grad.base is not None
+        _accum(p, g, owned=False)
+        assert p.grad is not g
         _accum(p, g)
         npt.assert_array_equal(p.grad, 2 * g)
         npt.assert_array_equal(g, [1.0, 2.0, 3.0])
         store.zero_grad()
         assert p.grad is None
+
+    def test_gradient_set_by_hand_is_what_step_applies(self):
+        rng = np.random.default_rng(17)
+        shapes = [(3, 5), (4,)]
+        init = [rng.normal(size=s).astype(np.float32) for s in shapes]
+        store = ParamStore()
+        params = [store.add(f"p{i}", a.copy()) for i, a in enumerate(init)]
+        opt = Adam(store, lr=0.1)
+        want = [a.copy() for a in init]
+        m = [np.zeros_like(a) for a in init]
+        v = [np.zeros_like(a) for a in init]
+        for t in range(1, 3):
+            # a transposed (non-contiguous) view and a plain array, set outside the tape
+            grads = [rng.normal(size=(5, 3)).astype(np.float32).T,
+                     rng.normal(size=4).astype(np.float32)]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            ref.adam_step(want, grads, m, v, t, 0.1)
+        for p, w in zip(params, want):
+            assert_bits(p.data, w)
 
     def test_mixed_dtypes_not_packed(self):
         store = ParamStore()
